@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet lint lint-json lint-sarif race bench bench-json bench-guard smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
+.PHONY: verify build test vet lint lint-json lint-sarif race loc bench bench-json bench-guard smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
 
 verify: vet lint build test race
 
@@ -40,6 +40,12 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/cluster/... ./internal/server/... ./internal/trace/... ./internal/opencl/... ./internal/workload/...
+
+# Non-test Go line count, the size figure the ROADMAP tracks: every
+# *.go file except tests, testdata and the perfbench module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' \
+		-not -path './perfbench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 BENCHTIME ?= 2s
 bench:

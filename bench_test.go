@@ -25,6 +25,7 @@ import (
 	"bomw/internal/models"
 	"bomw/internal/nn"
 	tracepkg "bomw/internal/trace"
+	"bomw/internal/workload/scenario"
 )
 
 // ---- shared fixtures -------------------------------------------------
@@ -429,57 +430,28 @@ func BenchmarkAblation_SpillDisabled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var with, without core.ReplayResult
+	var with, without scenario.ReplayResult
+	var spills int
 	for i := 0; i < b.N; i++ {
-		with, err = s.Replay(tr, core.LowestLatency)
+		before := s.Stats().Spills
+		with, err = scenario.Replay(scenario.NewSchedulerBackend(s), tr, core.LowestLatency)
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err = noSpill.Replay(tr, core.LowestLatency)
+		spills = s.Stats().Spills - before
+		without, err = scenario.Replay(scenario.NewSchedulerBackend(noSpill), tr, core.LowestLatency)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(with.AvgLatency().Seconds()*1e3, "avg-ms-with-spill")
 	b.ReportMetric(without.AvgLatency().Seconds()*1e3, "avg-ms-no-spill")
-	b.ReportMetric(float64(with.Spills), "spills")
+	b.ReportMetric(float64(spills), "spills")
 }
 
 func traceBurst() (tracepkg.Trace, error) {
 	return tracepkg.Burst(120, 20, 300, time.Second, 250*time.Millisecond,
 		[]string{"mnist-small", "mnist-cnn"}, []int{2, 32}, []int{4096, 32768}, 5)
-}
-
-// BenchmarkAblation_BatchingWindow sweeps the dynamic batcher's window on
-// a single-sample arrival stream: wider windows amortise fixed device
-// costs (higher throughput, less energy) at the price of aggregation
-// latency — the serving-side face of the paper's batch-size findings.
-func BenchmarkAblation_BatchingWindow(b *testing.B) {
-	s := benchScheduler(b)
-	var tr tracepkg.Trace
-	for i := 0; i < 300; i++ {
-		tr = append(tr, tracepkg.Request{
-			At:    time.Duration(i) * 100 * time.Microsecond,
-			Model: "mnist-small",
-			Batch: 1,
-		})
-	}
-	for _, window := range []time.Duration{time.Millisecond, 10 * time.Millisecond} {
-		window := window
-		b.Run(window.String(), func(b *testing.B) {
-			var res core.ReplayResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = s.ReplayBatched(tr, &core.Batcher{Window: window, MaxBatch: 512}, core.BestThroughput)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.SamplesPerSecond(), "samples/s")
-			b.ReportMetric(res.AvgLatency().Seconds()*1e3, "avg-ms")
-			b.ReportMetric(res.TotalEnergyJ, "joules")
-		})
-	}
 }
 
 // BenchmarkAblation_Pruning charges a dense network and its 90%-pruned

@@ -45,6 +45,7 @@ import (
 	"bomw/internal/opencl"
 	"bomw/internal/tensor"
 	"bomw/internal/trace"
+	"bomw/internal/workload/scenario"
 )
 
 // Version is the library release.
@@ -245,13 +246,10 @@ var (
 // DefaultPool is the host execution pool sized to this machine.
 var DefaultPool = tensor.Default
 
-// Batcher aggregates arriving requests into dispatch batches (batch size
-// is the paper's decisive scheduling variable, §IV-C).
-type Batcher = core.Batcher
-
 // The concurrent serving pipeline: admission with bounded queues and
-// load shedding, live batching, per-device worker queues, completion
-// futures. This is the online counterpart of the offline Batcher.
+// load shedding, live batching (batch size is the paper's decisive
+// scheduling variable, §IV-C), per-device worker queues, completion
+// futures.
 type (
 	// Pipeline is the staged concurrent serving core.
 	Pipeline = core.Pipeline
@@ -350,18 +348,24 @@ var RoutingPolicyByName = cluster.PolicyByName
 // delivering requests on a channel as live traffic would arrive.
 var PlayTrace = trace.Play
 
-// MixedRequest tags a request with its application's policy for
-// multi-tenant replays.
-type MixedRequest = core.MixedRequest
-
-// MixTrace tags each request of a trace with a per-model policy.
-var MixTrace = core.MixTrace
-
 // DeadlineDecision is the outcome of an SLO-constrained selection.
 type DeadlineDecision = core.DeadlineDecision
 
-// ReplayResult aggregates a trace replay.
-type ReplayResult = core.ReplayResult
+// ReplayResult aggregates a trace replay on the virtual clock.
+type ReplayResult = scenario.ReplayResult
+
+// Trace replay: one engine, with the adaptive scheduler or a pinned
+// device as the backend.
+var (
+	// Replay resets the backend and runs every request of a trace at its
+	// arrival time under one policy.
+	Replay = scenario.Replay
+	// NewSchedulerBackend replays through the adaptive scheduler.
+	NewSchedulerBackend = scenario.NewSchedulerBackend
+	// NewStaticBackend pins every request to one device, the paper's
+	// "always use device X" baselines.
+	NewStaticBackend = scenario.NewStaticBackend
+)
 
 // Trace analysis.
 var (

@@ -180,7 +180,7 @@ func TestPublicSpecJSON(t *testing.T) {
 	}
 }
 
-func TestPublicMixedReplayAndDeadline(t *testing.T) {
+func TestPublicReplayAndDeadline(t *testing.T) {
 	sched, err := NewScheduler(Config{
 		TrainModels: PaperModels(),
 		Batches:     []int{8, 512, 8192},
@@ -202,13 +202,26 @@ func TestPublicMixedReplayAndDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed := MixTrace(tr, map[string]Policy{"simple": LowestLatency})
-	res, err := sched.ReplayMixed(mixed)
+	res, err := Replay(NewSchedulerBackend(sched), tr, LowestLatency)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Total.Requests != 20 {
-		t.Fatalf("mixed replay served %d", res.Total.Requests)
+	if res.Requests != 20 {
+		t.Fatalf("replay served %d", res.Requests)
+	}
+	static, err := NewStaticBackend(sched, "GTX 1080 Ti")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := Replay(static, tr, LowestLatency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pinned.Requests != 20 || pinned.PerDevice["GTX 1080 Ti"] != 20 {
+		t.Fatalf("static replay = %d requests, per device %v", pinned.Requests, pinned.PerDevice)
+	}
+	if _, err := NewStaticBackend(sched, "nope"); err == nil {
+		t.Fatal("unknown static device accepted")
 	}
 	sched.ResetDevices()
 	dec, err := sched.SelectWithDeadline("mnist-small", 512, time.Hour, 0)

@@ -18,6 +18,7 @@ import (
 	"bomw/internal/models"
 	"bomw/internal/nn"
 	"bomw/internal/trace"
+	"bomw/internal/workload/scenario"
 )
 
 func main() {
@@ -129,12 +130,17 @@ func printSummary(sched *core.Scheduler, sw *characterize.Sweeper, seed int64) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	adaptive, err := sched.Replay(tr, core.EnergyEfficiency)
+	adaptive, err := scenario.Replay(scenario.NewSchedulerBackend(sched), tr, core.EnergyEfficiency)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	dgpu, err := sched.ReplayStatic(tr, "GTX 1080 Ti")
+	static, err := scenario.NewStaticBackend(sched, "GTX 1080 Ti")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	dgpu, err := scenario.Replay(static, tr, core.EnergyEfficiency)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

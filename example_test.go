@@ -78,22 +78,3 @@ func ExampleTrace() {
 	fmt.Println("requests:", len(steady), "samples:", steady.TotalSamples())
 	// Output: requests: 4 samples: 32
 }
-
-// Dynamic batching aggregates single-sample arrivals into dispatch
-// batches per model.
-func ExampleBatcher() {
-	var tr bomw.Trace
-	for i := 0; i < 5; i++ {
-		tr = append(tr, bomw.Request{At: time.Duration(i) * time.Millisecond, Model: "m", Batch: 1})
-	}
-	batches, err := (&bomw.Batcher{Window: 10 * time.Millisecond, MaxBatch: 3}).Aggregate(tr)
-	if err != nil {
-		panic(err)
-	}
-	for _, b := range batches {
-		fmt.Println(b.Model, b.Size, b.FlushAt)
-	}
-	// Output:
-	// m 3 2ms
-	// m 2 13ms
-}

@@ -43,7 +43,7 @@ func main() {
 	fmt.Printf("diurnal trace: %d requests, %d samples, %v of virtual time\n\n",
 		len(tr), tr.TotalSamples(), tr.Duration().Round(time.Millisecond))
 
-	adaptive, err := sched.Replay(tr, bomw.EnergyEfficiency)
+	adaptive, err := bomw.Replay(bomw.NewSchedulerBackend(sched), tr, bomw.EnergyEfficiency)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +52,11 @@ func main() {
 		adaptive.AvgLatency().Round(time.Microsecond), adaptive.PerDevice)
 
 	for _, dev := range sched.Devices() {
-		st, err := sched.ReplayStatic(tr, dev)
+		static, err := bomw.NewStaticBackend(sched, dev)
+		if err != nil {
+			log.Fatal(err)
+		}
+		st, err := bomw.Replay(static, tr, bomw.EnergyEfficiency)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,7 +67,7 @@ func main() {
 
 	// The throughput policy on the same trace burns more Joules — the
 	// policies genuinely trade off.
-	perf, err := sched.Replay(tr, bomw.BestThroughput)
+	perf, err := bomw.Replay(bomw.NewSchedulerBackend(sched), tr, bomw.BestThroughput)
 	if err != nil {
 		log.Fatal(err)
 	}

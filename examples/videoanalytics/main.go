@@ -42,17 +42,22 @@ func main() {
 	fmt.Printf("video trace: %d requests, %d frames, %v of virtual time\n",
 		len(tr), tr.TotalSamples(), tr.Duration().Round(time.Millisecond))
 
-	adaptive, err := sched.Replay(tr, bomw.LowestLatency)
+	spillsBefore := sched.Stats().Spills
+	adaptive, err := bomw.Replay(bomw.NewSchedulerBackend(sched), tr, bomw.LowestLatency)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%-22s avg-latency=%-14v max=%-14v energy=%8.1fJ spills=%d devices=%v\n",
 		"adaptive (paper)", adaptive.AvgLatency().Round(time.Microsecond),
 		adaptive.MaxLatency.Round(time.Microsecond), adaptive.TotalEnergyJ,
-		adaptive.Spills, adaptive.PerDevice)
+		sched.Stats().Spills-spillsBefore, adaptive.PerDevice)
 
 	for _, dev := range sched.Devices() {
-		st, err := sched.ReplayStatic(tr, dev)
+		static, err := bomw.NewStaticBackend(sched, dev)
+		if err != nil {
+			log.Fatal(err)
+		}
+		st, err := bomw.Replay(static, tr, bomw.LowestLatency)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func TestBrownoutShedsSLOlessOnly(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("deadline submit shed during brownout: %v", err)
 	}
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.BrownoutSheds != 1 {
 		t.Fatalf("BrownoutSheds = %d, want 1", st.BrownoutSheds)
 	}
@@ -99,7 +99,7 @@ func TestBrownoutSuppressesHedges(t *testing.T) {
 	if comp, err := fut.Wait(context.Background()); err != nil || comp.Err != nil {
 		t.Fatalf("request failed: %v / %v", err, comp.Err)
 	}
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.BrownoutLevel < 1 {
 		t.Fatalf("level = %d after 0.80 occupancy, want >= 1", st.BrownoutLevel)
 	}

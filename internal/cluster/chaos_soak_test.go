@@ -149,7 +149,7 @@ func chaosRun(t *testing.T, tmpl *core.Scheduler, ci *ChaosInjector, fleetSize, 
 	// completion can land after the caller's future resolved. Close
 	// before the final snapshot (the deferred Close is a no-op then).
 	c.Close()
-	return float64(ok.Load()) / float64(attempts.Load()), c.Stats()
+	return float64(ok.Load()) / float64(attempts.Load()), fleetStats(t, c)
 }
 
 // assertNoLostFutures checks the fleet-wide conservation law: every

@@ -692,8 +692,10 @@ func (c *Cluster) Stats() FleetStats {
 	st.RouteFailures = c.routeFails.Load()
 	st.Evictions = c.evictions.Load()
 	st.Readmissions = c.readmissions.Load()
-	st.NodeHedges = c.nodeHedges.Load()
+	// Wins load before launches: a win is counted after its launch, so
+	// this order keeps won ≤ launched in every snapshot.
 	st.NodeHedgesWon = c.nodeHedgeWins.Load()
+	st.NodeHedges = c.nodeHedges.Load()
 	st.HedgesSuppressed = c.hedgesSuppressed.Load()
 	st.Migrations = c.migrations.Load()
 	st.Suspicions = c.suspicions.Load()

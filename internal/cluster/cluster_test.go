@@ -43,7 +43,7 @@ func TestSubmitFailsOverPastSheddingNode(t *testing.T) {
 	if fakes[1].acceptCount() != 1 {
 		t.Fatalf("failover target node1 accepted %d, want 1", fakes[1].acceptCount())
 	}
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.Evictions != 0 {
 		t.Fatalf("overload must not evict: %+v", st)
 	}
@@ -60,7 +60,7 @@ func TestSubmitEvictsNodeAfterConsecutiveHardFailures(t *testing.T) {
 			t.Fatalf("submit %d: %v", k, err)
 		}
 	}
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.Evictions != 1 || !st.PerNode[0].Evicted {
 		t.Fatalf("dead node not evicted: %+v", st)
 	}
@@ -101,7 +101,7 @@ func TestSubmitNoReadyNodes(t *testing.T) {
 	if !errors.Is(err, ErrNoReadyNodes) {
 		t.Fatalf("err = %v, want ErrNoReadyNodes", err)
 	}
-	if st := c.Stats(); st.RouteFailures != 1 {
+	if st := fleetStats(t, c); st.RouteFailures != 1 {
 		t.Fatalf("route failure not accounted: %+v", st)
 	}
 }
@@ -113,7 +113,7 @@ func TestSweepEvictsUnhealthyAndReadmitsRecovered(t *testing.T) {
 	fakes[2].ready = false
 	fakes[2].mu.Unlock()
 	c.Sweep()
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if !st.PerNode[2].Evicted || st.Evictions != 1 {
 		t.Fatalf("unhealthy node not evicted: %+v", st)
 	}
@@ -122,7 +122,7 @@ func TestSweepEvictsUnhealthyAndReadmitsRecovered(t *testing.T) {
 	fakes[2].ready = true
 	fakes[2].mu.Unlock()
 	c.Sweep()
-	st = c.Stats()
+	st = fleetStats(t, c)
 	if st.PerNode[2].Evicted || st.Readmissions != 1 {
 		t.Fatalf("recovered node not readmitted: %+v", st)
 	}
@@ -273,7 +273,7 @@ func TestClusterDrainUnderLoad(t *testing.T) {
 	if accepted.Load() != resolved.Load() {
 		t.Fatalf("accepted %d futures, resolved %d — the drain dropped in-flight work", accepted.Load(), resolved.Load())
 	}
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.Submitted != accepted.Load() {
 		t.Fatalf("fleet admitted %d, clients saw %d accepts", st.Submitted, accepted.Load())
 	}
@@ -307,7 +307,7 @@ func TestClusterSmoke(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < perClient; k++ {
-				if accepted.Load() == killAt {
+				if accepted.Load() >= killAt {
 					killOnce.Do(func() {
 						if err := c.Kill("node3"); err != nil {
 							errCh <- err
@@ -340,7 +340,7 @@ func TestClusterSmoke(t *testing.T) {
 	if accepted.Load() != resolved.Load() {
 		t.Fatalf("accepted %d, resolved %d", accepted.Load(), resolved.Load())
 	}
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.Ready != 7 {
 		t.Fatalf("ready = %d after one kill, want 7 (%+v)", st.Ready, st.PerNode)
 	}
@@ -435,7 +435,7 @@ func TestSoakClusterTwoKills(t *testing.T) {
 		for err := range errCh {
 			t.Fatalf("soak client failed: %v", err)
 		}
-		return float64(ok.Load()) / float64(attempts.Load()), c.Stats()
+		return float64(ok.Load()) / float64(attempts.Load()), fleetStats(t, c)
 	}
 
 	baseAtt, baseStats := run(nil)

@@ -58,7 +58,7 @@ func TestDetectStragglersSuspectsOutlier(t *testing.T) {
 	if n := c.suspicions.Load(); n != 1 {
 		t.Fatalf("second sweep re-suspected: suspicions = %d", n)
 	}
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.Suspects != 1 || st.Ready != 5 {
 		t.Fatalf("Stats: Suspects=%d Ready=%d, want 1 and 5", st.Suspects, st.Ready)
 	}

@@ -210,10 +210,14 @@ func (s *submission) relay(nodeCtx context.Context, m *member, fut *core.Future,
 }
 
 // finishAttempt retires one attempt; the last attempt out must leave
-// the detached future resolved (zero lost futures, whatever raced).
+// the detached future resolved (zero lost futures, whatever raced) and
+// the hedge timer disarmed.
 func (s *submission) finishAttempt(comp core.Completion) {
-	if s.live.Add(-1) == 0 && !s.det.Resolved() {
-		s.det.Resolve(comp)
+	if s.live.Add(-1) == 0 {
+		if !s.det.Resolved() {
+			s.det.Resolve(comp)
+		}
+		s.stopTimer()
 	}
 }
 
@@ -290,8 +294,14 @@ func (s *submission) armHedge(m *member) {
 	s.mu.Lock()
 	if !s.det.Resolved() {
 		primary := m
+		// Close owns the callback: the hold is released when it runs or
+		// when stopTimer disarms it first.
+		c.relays.Add(1)
 		//bomw:wallclock reactive hedging races real stragglers: in live serving the half-slack trigger must fire on the wall clock the straggler is stuck on
-		s.timer = time.AfterFunc(s.req.Deadline/2, func() { s.fireHedge(primary) })
+		s.timer = time.AfterFunc(s.req.Deadline/2, func() {
+			defer c.relays.Done()
+			s.fireHedge(primary)
+		})
 	}
 	s.mu.Unlock()
 }
@@ -318,10 +328,12 @@ func (s *submission) fireHedge(primary *member) {
 	if m == nil {
 		return // single healthy node: nothing to hedge onto
 	}
-	if err := s.launch(m, attemptHedge); err != nil {
-		return
-	}
+	// Count the hedge before launch starts its relay, so a win is never
+	// counted ahead of its launch; a failed launch takes the count back.
 	c.nodeHedges.Add(1)
+	if err := s.launch(m, attemptHedge); err != nil {
+		c.nodeHedges.Add(-1)
+	}
 }
 
 // cancelSiblings cancels every live attempt except winner's — the
@@ -343,13 +355,15 @@ func (s *submission) cancelSiblings(winner *member) {
 }
 
 // stopTimer disarms the reactive hedge trigger once the race is over.
+// Disarming before the callback runs releases the callback's hold on
+// Close.
 func (s *submission) stopTimer() {
 	s.mu.Lock()
 	t := s.timer
 	s.timer = nil
 	s.mu.Unlock()
-	if t != nil {
-		t.Stop()
+	if t != nil && t.Stop() {
+		s.c.relays.Done()
 	}
 }
 

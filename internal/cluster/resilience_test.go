@@ -10,6 +10,23 @@ import (
 	"bomw/internal/core"
 )
 
+// fleetStats snapshots c and asserts the hedge-counter invariants every
+// snapshot must hold: wins never exceed launches, across nodes and
+// across each node's devices.
+func fleetStats(t testing.TB, c *Cluster) FleetStats {
+	t.Helper()
+	st := c.Stats()
+	if st.NodeHedgesWon > st.NodeHedges {
+		t.Errorf("NodeHedgesWon %d > NodeHedges %d", st.NodeHedgesWon, st.NodeHedges)
+	}
+	for _, m := range c.members {
+		if p := m.node.Stats().Pipeline; p.HedgesWon > p.HedgesLaunched {
+			t.Errorf("node %s: HedgesWon %d > HedgesLaunched %d", m.node.Name(), p.HedgesWon, p.HedgesLaunched)
+		}
+	}
+	return st
+}
+
 // serveCluster builds a fleet of serving fakes (instant completions by
 // default) under the least-loaded policy, loads ordered by index so the
 // routing order is deterministic: node0 first, node1 second, ...
@@ -80,7 +97,7 @@ func TestChaosWindowBlocksRoutingAndHintsRecovery(t *testing.T) {
 		t.Fatalf("ReadmissionHint = %v, want 1.5s (window remainder)", hint)
 	}
 	c.Sweep()
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.ChaosTrips != 1 || !st.PerNode[0].ChaosDown {
 		t.Fatalf("sweep did not mark the chaos window: %+v", st.PerNode[0])
 	}
@@ -105,7 +122,7 @@ func TestClusterHedgePredictive(t *testing.T) {
 		t.Fatalf("hedged request failed: %v / %v", err, comp.Err)
 	}
 	c.Close() // settles the loser's relay before reading counters
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.NodeHedges != 1 || st.NodeHedgesWon != 1 {
 		t.Fatalf("NodeHedges=%d Won=%d, want 1 and 1", st.NodeHedges, st.NodeHedgesWon)
 	}
@@ -137,7 +154,7 @@ func TestClusterHedgeReactive(t *testing.T) {
 		t.Fatalf("reactively hedged request failed: %v / %v", err, comp.Err)
 	}
 	c.Close()
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.NodeHedges != 1 || st.NodeHedgesWon != 1 {
 		t.Fatalf("NodeHedges=%d Won=%d, want 1 and 1", st.NodeHedges, st.NodeHedgesWon)
 	}
@@ -159,7 +176,7 @@ func TestClusterHedgeNoTarget(t *testing.T) {
 		t.Fatalf("request failed: %v / %v", err, comp.Err)
 	}
 	c.Close()
-	if st := c.Stats(); st.NodeHedges != 0 {
+	if st := fleetStats(t, c); st.NodeHedges != 0 {
 		t.Fatalf("NodeHedges = %d on a 1-node fleet", st.NodeHedges)
 	}
 }
@@ -186,7 +203,7 @@ func TestHedgeOutlivesFailedPrimary(t *testing.T) {
 		t.Fatalf("failed primary stole the future from a winning hedge: %v", comp.Err)
 	}
 	c.Close()
-	if st := c.Stats(); st.NodeHedgesWon != 1 {
+	if st := fleetStats(t, c); st.NodeHedgesWon != 1 {
 		t.Fatalf("NodeHedgesWon = %d, want 1", st.NodeHedgesWon)
 	}
 }
@@ -214,7 +231,7 @@ func TestAllAttemptsFailSurfacesError(t *testing.T) {
 		t.Fatalf("comp.Err = %v, want ErrDeadlineExceeded", comp.Err)
 	}
 	c.Close()
-	if st := c.Stats(); st.NodeHedgesWon != 0 {
+	if st := fleetStats(t, c); st.NodeHedgesWon != 0 {
 		t.Fatalf("NodeHedgesWon = %d for a failed hedge, want 0", st.NodeHedgesWon)
 	}
 }
@@ -240,7 +257,7 @@ func TestStragglerMigration(t *testing.T) {
 		t.Fatalf("migrated request failed: %v / %v", err, comp.Err)
 	}
 	c.Close()
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.Migrations != 1 {
 		t.Fatalf("Migrations = %d, want 1", st.Migrations)
 	}
@@ -275,7 +292,7 @@ func TestMigrationNoTargetStillResolves(t *testing.T) {
 		t.Fatal("a migration with no target cannot have completed")
 	}
 	c.Close()
-	if st := c.Stats(); st.Migrations != 0 {
+	if st := fleetStats(t, c); st.Migrations != 0 {
 		t.Fatalf("Migrations = %d, want 0 (no target)", st.Migrations)
 	}
 }
@@ -332,7 +349,7 @@ func TestClusterKillRacesDrain(t *testing.T) {
 	if accepted != resolved {
 		t.Fatalf("accepted %d futures, resolved %d", accepted, resolved)
 	}
-	st := c.Stats()
+	st := fleetStats(t, c)
 	if st.Completed != st.Submitted {
 		t.Fatalf("fleet lost futures across the race: %+v", st)
 	}

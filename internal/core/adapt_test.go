@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"time"
-
-	"bomw/internal/trace"
 )
 
 func TestObserveUpdatesHealth(t *testing.T) {
@@ -108,71 +106,5 @@ func TestHealthRecovers(t *testing.T) {
 	}
 	if _, degraded := s.DeviceHealth(dev); degraded {
 		t.Fatal("device should have recovered")
-	}
-}
-
-func TestReplayRoutesAroundInterference(t *testing.T) {
-	// End to end: a replay with the preferred device contended should
-	// end up cheaper than naively pinning to that device.
-	s := testScheduler(t)
-	tr, err := trace.Poisson(60, 50, []string{"mnist-small"}, []int{4096, 32768}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Baseline replay to find the dominant device.
-	base, err := s.Replay(tr, LowestLatency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dominant, max := "", 0
-	for dev, n := range base.PerDevice {
-		if n > max {
-			dominant, max = dev, n
-		}
-	}
-	// Contend it. Replay resets devices, so apply slowdown inside a
-	// wrapper replay: set after reset via fresh replay with prepared
-	// devices — simplest is to re-run Select/Estimate manually.
-	s.ResetDevices()
-	for _, d := range s.cfg.Devices {
-		if d.Name() == dominant {
-			d.SetSlowdown(8)
-		}
-	}
-	var adaptiveSum time.Duration
-	movedAway := 0
-	for _, req := range tr {
-		res, dec, err := s.Estimate(req.Model, req.Batch, LowestLatency, req.At)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Observe(dec, res); err != nil {
-			t.Fatal(err)
-		}
-		adaptiveSum += res.Latency()
-		if dec.Device != dominant {
-			movedAway++
-		}
-	}
-	if movedAway == 0 {
-		t.Fatal("scheduler never adapted to the contended device")
-	}
-	// Pinned-to-contended baseline for the same trace.
-	for _, d := range s.cfg.Devices {
-		d.Reset()
-		if d.Name() == dominant {
-			d.SetSlowdown(8)
-		}
-	}
-	var pinnedSum time.Duration
-	for _, req := range tr {
-		res, err := s.rt.Estimate(dominant, req.Model, req.Batch, req.At)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pinnedSum += res.Latency()
-	}
-	if adaptiveSum >= pinnedSum {
-		t.Fatalf("adaptive (%v) did not beat pinned-to-contended (%v)", adaptiveSum, pinnedSum)
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"time"
+
+	"bomw/internal/opencl"
 )
 
 // Deadline-aware selection extends the paper's three policies with a
@@ -215,4 +217,43 @@ func (s *Scheduler) FeasibleWithin(model string, batch int, deadline, now time.D
 		}
 	}
 	return best <= deadline, best, nil
+}
+
+// shadowReq is the minimal request shape shadow measurements need;
+// deadline probes and decisions convert into it.
+type shadowReq struct {
+	Model string
+	Batch int
+	At    time.Duration
+}
+
+// shadowEstimate measures one request on a fresh copy of the named
+// device, mirroring its current warm state, without touching live state.
+func (s *Scheduler) shadowEstimate(devName string, req shadowReq) (*opencl.Result, error) {
+	var live *deviceRef
+	for _, d := range s.devices {
+		if d.Name() == devName {
+			live = &deviceRef{d}
+			break
+		}
+	}
+	if live == nil {
+		return nil, fmt.Errorf("core: unknown device %q", devName)
+	}
+	shadow := live.freshCopy()
+	if live.d.StateAt(req.At).Warm {
+		shadow.Warm(0)
+	}
+	rt, err := opencl.NewRuntime(shadow)
+	if err != nil {
+		return nil, err
+	}
+	net, err := s.disp.Network(req.Model)
+	if err != nil {
+		return nil, err
+	}
+	if err := rt.LoadModel(net); err != nil {
+		return nil, err
+	}
+	return rt.Estimate(devName, req.Model, req.Batch, 0)
 }

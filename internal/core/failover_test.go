@@ -214,42 +214,6 @@ func TestPipelineCloseWaitsForQueuedBatches(t *testing.T) {
 	}
 }
 
-// TestPipelinePlayWaitsForInflightOnSubmitError is the regression test
-// for the future leak: a Submit error used to return from Play without
-// wg.Wait(), abandoning completion goroutines mid-write.
-func TestPipelinePlayWaitsForInflightOnSubmitError(t *testing.T) {
-	s := smallScheduler(t, Config{MaxQueueDelay: -1})
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1})
-	defer p.Close()
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	p.testExecHook = func(string) {
-		entered <- struct{}{}
-		<-release
-	}
-
-	tr := trace.Trace{
-		{At: 0, Model: "mnist-small", Batch: 1},
-		{At: time.Millisecond, Model: "no-such-model", Batch: 1},
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.Play(context.Background(), tr, BestThroughput, 1)
-		done <- err
-	}()
-	<-entered // the first request is executing (held); the second will fail Submit
-	select {
-	case err := <-done:
-		t.Fatalf("Play returned (%v) while a submitted future was unresolved", err)
-	case <-time.After(150 * time.Millisecond):
-	}
-	close(release)
-	if err := <-done; err == nil {
-		t.Fatal("Play accepted an unknown model")
-	}
-	waitForDrain(t, p)
-}
-
 // waitForDrain polls until every submitted request has completed.
 func waitForDrain(t *testing.T, p *Pipeline) {
 	t.Helper()
@@ -268,9 +232,9 @@ func waitForDrain(t *testing.T, p *Pipeline) {
 
 // TestPipelinePlaySurvivesDeviceOutage is the acceptance scenario: one
 // device fails at a 100% error rate mid-run (a scripted outage window on
-// the virtual clock), yet a replayed trace completes every admitted
-// request via failover, the failed device is quarantined, and after the
-// window it is probed and re-admitted.
+// the virtual clock), yet a trace submitted at its wall-clock arrival
+// times completes every admitted request via failover, the failed device
+// is quarantined, and after the window it is probed and re-admitted.
 func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 	// Spill adaptation is disabled so routing stays pinned to the
 	// ranked-best device until the failure domain (not queue occupancy)
@@ -305,14 +269,32 @@ func TestPipelinePlaySurvivesDeviceOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Play(ctx, tr, BestThroughput, 1)
-	if err != nil {
-		t.Fatalf("outage leaked to a client: %v", err)
+	var futs []*Future
+	dropped := 0
+	for req := range trace.Play(ctx, tr, 1) {
+		fut, err := p.Submit(ctx, PipelineRequest{Model: req.Model, Policy: BestThroughput, Batch: req.Batch})
+		if errors.Is(err, ErrAdmissionFull) || errors.Is(err, ErrDeadlineInfeasible) {
+			dropped++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		futs = append(futs, fut)
 	}
-	if res.Requests+res.Dropped != len(tr) {
-		t.Fatalf("requests %d + dropped %d ≠ trace %d", res.Requests, res.Dropped, len(tr))
+	for _, fut := range futs {
+		c, err := fut.Wait(ctx)
+		if err == nil {
+			err = c.Err
+		}
+		if err != nil {
+			t.Fatalf("outage leaked to a client: %v", err)
+		}
 	}
-	if res.Requests == 0 {
+	if len(futs)+dropped != len(tr) {
+		t.Fatalf("requests %d + dropped %d ≠ trace %d", len(futs), dropped, len(tr))
+	}
+	if len(futs) == 0 {
 		t.Fatal("every request was dropped")
 	}
 	st := p.Stats()

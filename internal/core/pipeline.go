@@ -11,7 +11,6 @@ import (
 
 	"bomw/internal/opencl"
 	"bomw/internal/tensor"
-	"bomw/internal/trace"
 )
 
 // Pipeline is the concurrent serving path over a trained scheduler — the
@@ -31,10 +30,10 @@ import (
 // (ErrDeadlineInfeasible), so overload sheds doomed work first.
 //
 // (2) Live batching: arriving requests aggregate per (model, policy)
-// under the offline Batcher's Window/MaxBatch semantics, but flushed by
-// wall-clock timers and size triggers instead of offline trace folding.
-// The batching front-end is sharded: each (model, policy) aggregation
-// key hashes to one of AdmitShards independent admit loops, so distinct
+// until the oldest has waited Window or the batch reaches MaxBatch
+// samples, flushed by wall-clock timers and size triggers. The batching
+// front-end is sharded: each (model, policy) aggregation key hashes to
+// one of admitShards() independent admit loops, so distinct
 // models batch and flush in parallel instead of funnelling through one
 // global goroutine, while every request stream for one key still lands
 // on a single shard — per-key aggregation and dispatch order are
@@ -132,33 +131,29 @@ type Pipeline struct {
 // PipelineConfig parameterises the serving pipeline.
 type PipelineConfig struct {
 	// Window is the maximum time the oldest request of a live batch may
-	// wait before the batch is flushed (the Batcher.Window semantics on
-	// a wall-clock timer). Defaults to 2 ms.
+	// wait before the batch is flushed, on a wall-clock timer. Defaults
+	// to 2 ms.
 	Window time.Duration
 	// MaxBatch flushes a batch as soon as it aggregates this many
-	// samples (the Batcher.MaxBatch semantics). Defaults to 64.
+	// samples. Defaults to 64.
 	MaxBatch int
 	// QueueDepth bounds the admission queue; a full queue sheds load
 	// (Submit returns ErrAdmissionFull). Defaults to 256. The depth is
-	// divided across AdmitShards (at least one slot per shard), so a
-	// single hot model sheds at roughly QueueDepth/AdmitShards queued
-	// requests — backpressure stays proportional to the paths actually
-	// congested instead of letting one model consume the whole budget.
+	// divided across the admission shards (at least one slot per
+	// shard), so a single hot model sheds at roughly
+	// QueueDepth/admitShards() queued requests — backpressure stays
+	// proportional to the paths actually congested instead of letting
+	// one model consume the whole budget.
 	QueueDepth int
-	// AdmitShards is the number of parallel admission/batching loops.
-	// Aggregation keys (model, policy, estimate-vs-classify) hash to a
-	// shard, so requests for one key always meet the same batcher while
-	// distinct models admit and flush concurrently. Rounded up to a
-	// power of two; defaults to GOMAXPROCS capped at 8.
-	AdmitShards int
 	// DeviceQueueDepth bounds each device's worker queue; full device
 	// queues exert backpressure on batch flushing, which in turn fills
 	// admission. Defaults to 8.
 	DeviceQueueDepth int
 	// HoldWindow disables the work-conserving idle fast-path: aggregates
-	// always wait for the window timer or the size trigger, mirroring
-	// the offline Batcher exactly. Default false: a request arriving
-	// into an idle system dispatches immediately.
+	// always wait for the window timer or the size trigger, so batch
+	// formation depends only on arrivals, Window and MaxBatch. Default
+	// false: a request arriving into an idle system dispatches
+	// immediately.
 	HoldWindow bool
 	// Clock supplies the virtual time requests are charged at. Defaults
 	// to wall-clock time since the pipeline was created (the serving
@@ -198,6 +193,20 @@ type PipelineConfig struct {
 	Hedge bool
 }
 
+// admitShards is the number of parallel admission/batching loops:
+// GOMAXPROCS capped at 8, rounded up to a power of two so shard
+// selection is a mask, not a mod. Aggregation keys (model, policy,
+// estimate-vs-classify) hash to a shard, so requests for one key always
+// meet the same batcher while distinct models admit and flush
+// concurrently.
+func admitShards() int {
+	n := min(runtime.GOMAXPROCS(0), 8)
+	for n&(n-1) != 0 {
+		n++
+	}
+	return n
+}
+
 func (c *PipelineConfig) fillDefaults() {
 	if c.Window <= 0 {
 		c.Window = 2 * time.Millisecond
@@ -210,16 +219,6 @@ func (c *PipelineConfig) fillDefaults() {
 	}
 	if c.DeviceQueueDepth <= 0 {
 		c.DeviceQueueDepth = 8
-	}
-	if c.AdmitShards <= 0 {
-		c.AdmitShards = runtime.GOMAXPROCS(0)
-		if c.AdmitShards > 8 {
-			c.AdmitShards = 8
-		}
-	}
-	// Round up to a power of two so shard selection is a mask, not a mod.
-	for c.AdmitShards&(c.AdmitShards-1) != 0 {
-		c.AdmitShards++
 	}
 	if c.Clock == nil {
 		//bomw:wallclock the default serving clock IS the wall clock, anchored at pipeline creation; simulated callers inject their own Clock
@@ -732,7 +731,7 @@ func (dq *deviceQueue) queued() int {
 }
 
 // NewPipeline builds and starts the serving pipeline over a scheduler:
-// AdmitShards admit/batching goroutines plus one worker per device. The
+// admitShards() admit/batching goroutines plus one worker per device. The
 // pipeline registers its queue occupancy with the scheduler so spill
 // decisions (Config.MaxQueueDelay) observe real queued work; only one
 // pipeline should serve a scheduler at a time. Call Close to drain and
@@ -748,13 +747,11 @@ func NewPipeline(sched *Scheduler, cfg PipelineConfig) *Pipeline {
 		queues:  map[string]*deviceQueue{},
 	}
 	p.windowNow.Store(int64(cfg.Window))
-	perShard := cfg.QueueDepth / cfg.AdmitShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	p.capacity = int64(perShard * cfg.AdmitShards)
-	p.shards = make([]*admitShard, cfg.AdmitShards)
-	p.shardMask = uint32(cfg.AdmitShards - 1)
+	shards := admitShards()
+	perShard := max(cfg.QueueDepth/shards, 1)
+	p.capacity = int64(perShard * shards)
+	p.shards = make([]*admitShard, shards)
+	p.shardMask = uint32(shards - 1)
 	for i := range p.shards {
 		p.shards[i] = &admitShard{
 			admit:   make(chan *pipeReq, perShard),
@@ -1038,6 +1035,9 @@ func (p *Pipeline) QueueDelay() time.Duration {
 
 // Stats snapshots pipeline activity.
 func (p *Pipeline) Stats() PipelineStats {
+	// Wins load before launches: a win is counted after its launch, so
+	// this order keeps HedgesWon ≤ HedgesLaunched in every snapshot.
+	hedgeWins := p.hedgeWins.Load()
 	st := PipelineStats{
 		Submitted:      p.submitted.Load(),
 		Shed:           p.shed.Load(),
@@ -1055,7 +1055,7 @@ func (p *Pipeline) Stats() PipelineStats {
 		Failovers:      p.failovers.Load(),
 		ExecFailures:   p.execFails.Load(),
 		HedgesLaunched: p.hedges.Load(),
-		HedgesWon:      p.hedgeWins.Load(),
+		HedgesWon:      hedgeWins,
 		InFlight:       p.inflight.Load(),
 		Depth:          map[string]int{},
 	}
@@ -1670,89 +1670,9 @@ func (p *Pipeline) finish(r *pipeReq, c *Completion) bool {
 	default:
 		p.failed.Add(1)
 	}
-	r.fut.ch <- *c // buffered(1); the CAS above makes delivery exactly-once
+	// Count before delivery: a client that snapshots Stats right after
+	// its Wait returns must see its own completion.
 	p.completed.Add(1)
+	r.fut.ch <- *c // buffered(1); the CAS above makes delivery exactly-once
 	return true
-}
-
-// ---- driving the pipeline from trace generators ------------------------
-
-// Play drives a request trace through the live pipeline, replaying
-// arrivals on the wall clock compressed by speedup (e.g. 100 plays a
-// 10 s trace in 0.1 s) and waiting for every completion. Requests are
-// timing-only (the Estimate path), matching Scheduler.Replay, but unlike
-// Replay they flow through admission, live batching and the device
-// queues — requests shed at admission (queue full or SLO infeasible)
-// are counted in Dropped, and admitted requests culled for a passed
-// deadline are counted in Expired. Devices are not reset: Play observes
-// the system as it is, like live traffic.
-func (p *Pipeline) Play(ctx context.Context, tr trace.Trace, pol Policy, speedup float64) (ReplayResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res := ReplayResult{PerDevice: map[string]int{}}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	playCtx, stopPlay := context.WithCancel(ctx)
-	defer stopPlay()
-	arrivals := trace.Play(playCtx, tr, speedup)
-	var submitErr error
-	for req := range arrivals {
-		fut, err := p.Submit(ctx, PipelineRequest{Model: req.Model, Policy: pol, Batch: req.Batch})
-		if errors.Is(err, ErrAdmissionFull) || errors.Is(err, ErrDeadlineInfeasible) {
-			res.Dropped++
-			continue
-		}
-		if err != nil {
-			// Stop playback but do NOT return yet: completions of
-			// already-submitted requests are still being written, and
-			// abandoning wg would leak those goroutines mid-write.
-			submitErr = err
-			stopPlay()
-			for range arrivals { // release the playback goroutine
-			}
-			break
-		}
-		wg.Add(1)
-		batch := req.Batch
-		go func() {
-			defer wg.Done()
-			c, err := fut.waitRelease(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil || c.Err != nil {
-				if c.Err != nil && errors.Is(c.Err, ErrDeadlineExceeded) {
-					res.Expired++
-					return
-				}
-				if firstErr == nil {
-					firstErr = err
-					if firstErr == nil {
-						firstErr = c.Err
-					}
-				}
-				return
-			}
-			res.Requests++
-			res.TotalSamples += int64(batch)
-			res.TotalEnergyJ += c.EnergyJ
-			res.Record(c.Latency)
-			if c.Completed > res.Makespan {
-				res.Makespan = c.Completed
-			}
-			res.PerDevice[c.Decision.Device]++
-		}()
-	}
-	wg.Wait() // every submitted future has resolved past this point
-	if submitErr != nil {
-		return ReplayResult{}, submitErr
-	}
-	if firstErr != nil {
-		return ReplayResult{}, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return ReplayResult{}, err
-	}
-	return res, nil
 }

@@ -13,7 +13,6 @@ import (
 	"bomw/internal/models"
 	"bomw/internal/nn"
 	"bomw/internal/tensor"
-	"bomw/internal/trace"
 )
 
 // smallScheduler builds a private scheduler quickly (coarse batch grid,
@@ -156,6 +155,65 @@ func TestPipelineSizeTriggerFlushesEarly(t *testing.T) {
 	}
 	if st := p.Stats(); st.SizeFlushes != 1 {
 		t.Fatalf("size flushes = %d (stats %+v)", st.SizeFlushes, st)
+	}
+}
+
+// TestPipelineBatchingTradeoff is the batching trade-off of §IV-C on
+// the live pipeline: aggregating single-sample arrivals into batches
+// must shorten the makespan (fewer fixed costs per sample) and cut
+// energy. HoldWindow with an hour-long window makes batch formation
+// depend only on MaxBatch, spilling is off, and a frozen clock charges
+// every batch at t=0, so the two runs differ only in batch size.
+func TestPipelineBatchingTradeoff(t *testing.T) {
+	s := smallScheduler(t, Config{MaxQueueDelay: -1})
+	run := func(maxBatch int) (makespan time.Duration, energyJ float64) {
+		t.Helper()
+		s.ResetDevices()
+		p := NewPipeline(s, PipelineConfig{
+			Window:           time.Hour,
+			MaxBatch:         maxBatch,
+			HoldWindow:       true,
+			QueueDepth:       4096,
+			DeviceQueueDepth: 512,
+			ProbeInterval:    -1,
+			Clock:            func() time.Duration { return 0 },
+		})
+		defer p.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		futs := make([]*Future, 256)
+		for i := range futs {
+			fut, err := p.Submit(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs[i] = fut
+		}
+		for _, fut := range futs {
+			c, err := fut.Wait(ctx)
+			if err == nil {
+				err = c.Err
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.BatchSize != maxBatch {
+				t.Fatalf("batch size = %d, want %d", c.BatchSize, maxBatch)
+			}
+			makespan = max(makespan, c.Completed)
+			energyJ += c.EnergyJ
+		}
+		return makespan, energyJ
+	}
+	unbatchedSpan, unbatchedJ := run(1)
+	batchedSpan, batchedJ := run(64)
+	t.Logf("MaxBatch 1: makespan %v, %.3f J; MaxBatch 64: makespan %v, %.3f J",
+		unbatchedSpan, unbatchedJ, batchedSpan, batchedJ)
+	if batchedSpan >= unbatchedSpan {
+		t.Fatalf("batching should shorten the makespan: %v vs %v", batchedSpan, unbatchedSpan)
+	}
+	if batchedJ >= unbatchedJ {
+		t.Fatalf("batching should amortise fixed energy: %.3fJ vs %.3fJ", batchedJ, unbatchedJ)
 	}
 }
 
@@ -490,38 +548,5 @@ func TestPipelineConcurrentStress(t *testing.T) {
 	sst := s.Stats()
 	if int64(sst.Decisions) != st.Batches+direct.Load() {
 		t.Fatalf("decisions = %d, want %d batches + %d direct", sst.Decisions, st.Batches, direct.Load())
-	}
-}
-
-func TestPipelinePlayDrivesTrace(t *testing.T) {
-	s := testScheduler(t)
-	p := NewPipeline(s, PipelineConfig{})
-	defer p.Close()
-
-	tr, err := trace.Poisson(60, 300, []string{"simple", "mnist-small"}, []int{1, 8, 64}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := p.Play(ctx, tr, BestThroughput, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests+res.Dropped != len(tr) {
-		t.Fatalf("requests %d + dropped %d ≠ trace %d", res.Requests, res.Dropped, len(tr))
-	}
-	if res.Requests == 0 {
-		t.Fatal("every request was dropped")
-	}
-	perDevice := 0
-	for _, n := range res.PerDevice {
-		perDevice += n
-	}
-	if perDevice != res.Requests {
-		t.Fatalf("per-device counts %d ≠ requests %d", perDevice, res.Requests)
-	}
-	if res.Makespan <= 0 || res.TotalSamples <= 0 || res.AvgLatency() <= 0 {
-		t.Fatalf("degenerate replay: %+v", res)
 	}
 }

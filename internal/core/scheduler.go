@@ -688,3 +688,16 @@ func (s *Scheduler) Stats() Stats {
 	sort.Strings(out.Quarantined)
 	return out
 }
+
+// ResetDevices returns every scheduled device to a cold, idle state and
+// clears the health monitor; replays call it to start from a clean
+// system.
+func (s *Scheduler) ResetDevices() {
+	for _, d := range s.devices {
+		d.Reset()
+	}
+	s.mu.Lock()
+	s.health = newHealthMonitor()
+	s.mu.Unlock()
+	s.invalidateDecisions()
+}

@@ -9,7 +9,6 @@ import (
 	"bomw/internal/characterize"
 	"bomw/internal/device"
 	"bomw/internal/models"
-	"bomw/internal/trace"
 )
 
 // sharedScheduler builds one fully trained scheduler for the whole test
@@ -331,113 +330,6 @@ func TestPredictionAccuracyOnUnseenModels(t *testing.T) {
 	}
 }
 
-func TestReplayPoissonTrace(t *testing.T) {
-	s := testScheduler(t)
-	tr, err := trace.Poisson(60, 100, []string{"simple", "mnist-small"}, []int{8, 512, 8192}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Replay(tr, BestThroughput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 60 || res.TotalSamples != tr.TotalSamples() {
-		t.Fatalf("replay accounting wrong: %+v", res)
-	}
-	if res.Makespan <= 0 || res.TotalEnergyJ <= 0 || res.AvgLatency() <= 0 {
-		t.Fatalf("degenerate replay: %+v", res)
-	}
-	if res.SamplesPerSecond() <= 0 {
-		t.Fatal("throughput must be positive")
-	}
-}
-
-func TestAdaptiveBeatsWorstStaticAndApproachesBest(t *testing.T) {
-	// The "best of many worlds" claim: across a mixed workload the
-	// adaptive scheduler should be at least competitive with every
-	// static single-device policy on its target metric.
-	s := testScheduler(t)
-	tr, err := trace.Poisson(80, 200, []string{"simple", "mnist-small", "mnist-cnn"}, []int{2, 64, 2048, 65536}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := s.Replay(tr, LowestLatency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bestStatic, worstStatic time.Duration
-	for i, dev := range s.Devices() {
-		st, err := s.ReplayStatic(tr, dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 || st.SumLatency < bestStatic {
-			bestStatic = st.SumLatency
-		}
-		if i == 0 || st.SumLatency > worstStatic {
-			worstStatic = st.SumLatency
-		}
-	}
-	if adaptive.SumLatency >= worstStatic {
-		t.Fatalf("adaptive (%v) no better than the worst static policy (%v)", adaptive.SumLatency, worstStatic)
-	}
-	if float64(adaptive.SumLatency) > 1.5*float64(bestStatic) {
-		t.Fatalf("adaptive (%v) not within 1.5x of the best static policy (%v)", adaptive.SumLatency, bestStatic)
-	}
-}
-
-func TestEnergyPolicySavesEnergyVersusAlwaysDGPU(t *testing.T) {
-	// §VI: "energy savings up to 10%" — under the energy policy the
-	// scheduler must consume less than the always-most-powerful-device
-	// baseline on a mixed load.
-	s := testScheduler(t)
-	tr, err := trace.Diurnal(120, 20, 400, 2*time.Second,
-		[]string{"simple", "mnist-small", "mnist-cnn"}, []int{2, 32, 512, 8192}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := s.Replay(tr, EnergyEfficiency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dgpuOnly, err := s.ReplayStatic(tr, "GTX 1080 Ti")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adaptive.TotalEnergyJ >= dgpuOnly.TotalEnergyJ {
-		t.Fatalf("energy policy used %.1fJ, always-dGPU %.1fJ — no savings",
-			adaptive.TotalEnergyJ, dgpuOnly.TotalEnergyJ)
-	}
-}
-
-func TestOracleReplayIsBound(t *testing.T) {
-	s := testScheduler(t)
-	tr := trace.Sweep([]string{"simple"}, []int{8, 512, 8192}, 500*time.Millisecond)
-	oracle, err := s.OracleReplay(tr, LowestLatency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oracle.Requests != 3 {
-		t.Fatalf("oracle requests = %d", oracle.Requests)
-	}
-	adaptive, err := s.Replay(tr, LowestLatency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The oracle is an idealised bound; the adaptive scheduler should be
-	// within a small factor of it on this easy trace.
-	if float64(adaptive.SumLatency) > 2*float64(oracle.SumLatency) {
-		t.Fatalf("adaptive %v much worse than oracle %v", adaptive.SumLatency, oracle.SumLatency)
-	}
-}
-
-func TestReplayStaticUnknownDevice(t *testing.T) {
-	s := testScheduler(t)
-	if _, err := s.ReplayStatic(trace.Trace{{At: 0, Model: "simple", Batch: 8}}, "nope"); err == nil {
-		t.Fatal("unknown static device accepted")
-	}
-}
-
 func TestDeviceAgnosticCustomAccelerator(t *testing.T) {
 	// The paper claims device-agnosticism (§V-A): adding an NPU-like
 	// accelerator must require nothing but a profile.
@@ -484,32 +376,6 @@ func profilesOf(s *Scheduler) []device.Profile {
 }
 
 func errOrNil(_ interface{}, err error) error { return err }
-
-func TestReplayPercentiles(t *testing.T) {
-	s := testScheduler(t)
-	tr, err := trace.Poisson(50, 100, []string{"simple", "mnist-small"}, []int{8, 8192}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Replay(tr, LowestLatency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p50 := res.Percentile(50)
-	p99 := res.Percentile(99)
-	if p50 <= 0 || p99 < p50 {
-		t.Fatalf("percentiles out of order: p50=%v p99=%v", p50, p99)
-	}
-	if res.Percentile(100) != res.MaxLatency {
-		t.Fatalf("p100 %v != max %v", res.Percentile(100), res.MaxLatency)
-	}
-	if res.Percentile(-5) != res.Percentile(0) {
-		t.Fatal("negative percentile not clamped")
-	}
-	if (ReplayResult{}).Percentile(50) != 0 {
-		t.Fatal("empty result percentile should be 0")
-	}
-}
 
 func TestSchedulerRobustAcrossSeeds(t *testing.T) {
 	// The reproduction must not hinge on one lucky seed: schedulers
@@ -643,41 +509,6 @@ func TestRetrainConcurrentWithAccessors(t *testing.T) {
 	}
 }
 
-func TestMultipleDiscreteGPUs(t *testing.T) {
-	// Device-agnostic scaling: two dGPU instances are just two classes;
-	// the overload spill must balance across them.
-	gpu2 := device.NvidiaGTX1080Ti()
-	gpu2.Name = "GTX 1080 Ti #2"
-	devices := []*device.Device{
-		device.New(device.IntelCoreI7_8700()),
-		device.New(device.NvidiaGTX1080Ti()),
-		device.New(gpu2),
-	}
-	s, err := New(Config{
-		Devices:     devices,
-		TrainModels: models.PaperModels(),
-		Batches:     []int{512, 8192, 65536},
-		Reps:        1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadModel(models.MnistSmall(), 1); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Poisson(60, 500, []string{"mnist-small"}, []int{32768, 65536}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Replay(tr, BestThroughput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PerDevice["GTX 1080 Ti"] == 0 || res.PerDevice["GTX 1080 Ti #2"] == 0 {
-		t.Fatalf("load did not spread across both dGPUs: %v", res.PerDevice)
-	}
-}
-
 func TestProbeSeesCooldownTransitions(t *testing.T) {
 	// The per-decision PCIe probe must track the Boost state machine:
 	// warm right after heavy work, cold again after the cooldown.
@@ -720,17 +551,6 @@ func TestStringRenderers(t *testing.T) {
 	for _, want := range []string{"m×64", "lowest-latency", "cpu", "warm", "[spilled]"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Decision.String() = %q missing %q", s, want)
-		}
-	}
-	r := ReplayResult{Requests: 3, TotalSamples: 30, Makespan: time.Second,
-		SumLatency: 3 * time.Millisecond, MaxLatency: 2 * time.Millisecond,
-		TotalEnergyJ: 1.5, Spills: 1,
-		PerDevice: map[string]int{"b": 1, "a": 2}}
-	r.Record(time.Millisecond)
-	rs := r.String()
-	for _, want := range []string{"3 requests", "30 samples", "1.5 J", "1 spills", "a:2 b:1"} {
-		if !strings.Contains(rs, want) {
-			t.Fatalf("ReplayResult.String() = %q missing %q", rs, want)
 		}
 	}
 	st := Stats{Decisions: 5, Spills: 2, PerDevice: map[string]int{"x": 5}}

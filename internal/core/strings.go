@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Human-readable renderers for the scheduler's result types, shared by
@@ -22,23 +21,6 @@ func (d Decision) String() string {
 	}
 	return fmt.Sprintf("%s×%d under %s → %s (gpu %s)%s",
 		d.Model, d.Batch, d.Policy, d.Device, state, spill)
-}
-
-// String summarises a replay.
-func (r ReplayResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d requests, %d samples in %v: avg %v, p99 %v, max %v, %.1f J",
-		r.Requests, r.TotalSamples, r.Makespan.Round(time.Millisecond),
-		r.AvgLatency().Round(time.Microsecond),
-		r.Percentile(99).Round(time.Microsecond),
-		r.MaxLatency.Round(time.Microsecond), r.TotalEnergyJ)
-	if r.Spills > 0 {
-		fmt.Fprintf(&b, ", %d spills", r.Spills)
-	}
-	if len(r.PerDevice) > 0 {
-		fmt.Fprintf(&b, " — %s", renderPerDevice(r.PerDevice))
-	}
-	return b.String()
 }
 
 // String summarises scheduler activity.

@@ -11,6 +11,7 @@ import (
 	"bomw/internal/models"
 	"bomw/internal/opencl"
 	"bomw/internal/trace"
+	"bomw/internal/workload/scenario"
 )
 
 func monitoredRuntime(t *testing.T) (*opencl.Runtime, *Monitor) {
@@ -107,7 +108,7 @@ func TestMonitorOverSchedulerReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sched.Replay(tr, core.BestThroughput)
+	res, err := scenario.Replay(scenario.NewSchedulerBackend(sched), tr, core.BestThroughput)
 	if err != nil {
 		t.Fatal(err)
 	}

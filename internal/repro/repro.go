@@ -17,6 +17,7 @@ import (
 	"bomw/internal/models"
 	"bomw/internal/nn"
 	"bomw/internal/trace"
+	"bomw/internal/workload/scenario"
 )
 
 // Options configures a reproduction run.
@@ -363,7 +364,7 @@ func runSchedulerStudy(rep *Report, seed int64) error {
 	if err != nil {
 		return err
 	}
-	adaptive, err := sched.Replay(tr, core.EnergyEfficiency)
+	adaptive, err := scenario.Replay(scenario.NewSchedulerBackend(sched), tr, core.EnergyEfficiency)
 	if err != nil {
 		return err
 	}
@@ -371,7 +372,11 @@ func runSchedulerStudy(rep *Report, seed int64) error {
 	for _, d := range sched.Devices() {
 		dgpuName = d // last device is the dGPU in the default set
 	}
-	static, err := sched.ReplayStatic(tr, dgpuName)
+	dgpu, err := scenario.NewStaticBackend(sched, dgpuName)
+	if err != nil {
+		return err
+	}
+	static, err := scenario.Replay(dgpu, tr, core.EnergyEfficiency)
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@ type Backend interface {
 	// Run schedules one model×batch query arriving at the virtual time
 	// `at` and returns its completion. Queueing is represented by the
 	// device busy horizon: a query arriving while the chosen device is
-	// busy completes later, exactly as in Scheduler.Replay.
+	// busy completes later.
 	Run(model string, batch int, pol core.Policy, at time.Duration) (Exec, error)
 	// Reset restores pristine device state so consecutive scenario runs
 	// on one backend are independent.

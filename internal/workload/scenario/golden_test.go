@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bomw/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden scenario reports")
@@ -48,6 +50,26 @@ func TestGoldenReports(t *testing.T) {
 			p.Kind = Server
 			p.TargetRate = 2000 // enough offered load to exercise routing
 			return Run(freshFleet(t, 4), p)
+		}},
+		{"node_replay-static.json", func(t *testing.T) (Report, error) {
+			// The replay engine itself: a fixed seeded trace pinned to
+			// the dGPU, the paper's always-dGPU baseline.
+			rep, err := templateScheduler(t).Replica(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewStaticBackend(rep, "GTX 1080 Ti")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := trace.Poisson(64, 500, []string{"simple", "mnist-small"}, []int{8, 512, 8192}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := baseParams()
+			p.Model = ""
+			res, err := Replay(b, tr, p.Policy)
+			return res.report("replay", b.Name(), p), err
 		}},
 	}
 	for _, tc := range cases {

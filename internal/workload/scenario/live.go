@@ -60,24 +60,22 @@ func RunLive(ctx context.Context, t LiveTarget, p Params, speedup float64) (Repo
 	return Report{}, fmt.Errorf("scenario: unknown scenario kind %q", p.Kind)
 }
 
-// record folds one live completion into the collector and the
-// dropped/expired/failed tallies. It returns true when the query
-// completed successfully.
-func record(col *collector, c core.Completion, samples int, expired, failed *int) bool {
+// record folds one live completion into the aggregate or the
+// expired/failed tallies.
+func record(res *ReplayResult, c core.Completion, samples int, expired, failed *int) {
 	if c.Err != nil {
 		if errors.Is(c.Err, core.ErrDeadlineExceeded) {
 			*expired++
 		} else {
 			*failed++
 		}
-		return false
+		return
 	}
-	col.add(c.Latency, c.Completed, samples, c.EnergyJ, c.Decision.Device)
-	return true
+	res.Record(c.Latency, samples, Exec{Completed: c.Completed, EnergyJ: c.EnergyJ, Device: c.Decision.Device})
 }
 
 func runLiveStream(ctx context.Context, t LiveTarget, p Params) (Report, error) {
-	col := newCollector()
+	var res ReplayResult
 	var expired, failed int
 	for q := 0; q < p.Queries; q++ {
 		fut, err := t.Target.Submit(ctx, core.PipelineRequest{
@@ -90,9 +88,9 @@ func runLiveStream(ctx context.Context, t LiveTarget, p Params) (Report, error) 
 		if err != nil {
 			return Report{}, fmt.Errorf("scenario %s query %d: %w", p.Kind, q, err)
 		}
-		record(col, c, p.Batch, &expired, &failed)
+		record(&res, c, p.Batch, &expired, &failed)
 	}
-	r := col.report(p.Kind, t.Name, p)
+	r := res.report(p.Kind, t.Name, p)
 	r.Expired, r.Failed = expired, failed
 	return r, nil
 }
@@ -103,7 +101,7 @@ func runLiveStream(ctx context.Context, t LiveTarget, p Params) (Report, error) 
 // shed query (ErrAdmissionFull) waits for the oldest outstanding future
 // and retries.
 func runLiveOffline(ctx context.Context, t LiveTarget, p Params) (Report, error) {
-	col := newCollector()
+	var res ReplayResult
 	var expired, failed, dropped int
 	var pending []*core.Future
 	drainOne := func() error {
@@ -112,7 +110,7 @@ func runLiveOffline(ctx context.Context, t LiveTarget, p Params) (Report, error)
 		if err != nil {
 			return err
 		}
-		record(col, c, p.Batch, &expired, &failed)
+		record(&res, c, p.Batch, &expired, &failed)
 		return nil
 	}
 	for q := 0; q < p.Queries; q++ {
@@ -142,7 +140,7 @@ func runLiveOffline(ctx context.Context, t LiveTarget, p Params) (Report, error)
 			return Report{}, fmt.Errorf("scenario offline: %w", err)
 		}
 	}
-	r := col.report(Offline, t.Name, p)
+	r := res.report(Offline, t.Name, p)
 	r.Dropped, r.Expired, r.Failed = dropped, expired, failed
 	return r, nil
 }
@@ -165,10 +163,10 @@ func runLiveServer(ctx context.Context, t LiveTarget, p Params, speedup float64)
 		speedup = 1
 	}
 
-	col := newCollector()
+	var res ReplayResult
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	var expired, failed, dropped, inSLO int
+	var expired, failed, dropped int
 
 	playCtx, stopPlay := context.WithCancel(ctx)
 	defer stopPlay()
@@ -198,9 +196,7 @@ func runLiveServer(ctx context.Context, t LiveTarget, p Params, speedup float64)
 				failed++
 				return
 			}
-			if record(col, c, samples, &expired, &failed) && c.Latency <= p.SLO {
-				inSLO++
-			}
+			record(&res, c, samples, &expired, &failed)
 		}(req.Batch)
 	}
 	wg.Wait()
@@ -208,13 +204,8 @@ func runLiveServer(ctx context.Context, t LiveTarget, p Params, speedup float64)
 		return Report{}, fmt.Errorf("scenario server: %w", submitErr)
 	}
 
-	r := col.report(Server, t.Name, p)
+	r := res.serverReport(t.Name, p, len(tr))
 	r.Dropped, r.Expired, r.Failed = dropped, expired, failed
-	r.TargetRate = round3(p.TargetRate)
-	r.SLOMS = round3(float64(p.SLO) / float64(time.Millisecond))
-	if len(tr) > 0 {
-		r.Attainment = round3(float64(inSLO) / float64(len(tr)))
-	}
 	return r, nil
 }
 

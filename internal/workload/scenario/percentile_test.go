@@ -1,97 +1,51 @@
 package scenario
 
 import (
-	"sort"
 	"testing"
 	"time"
-
-	"bomw/internal/core"
 )
 
-// Two percentile implementations exist on purpose — the scenario
-// collector works on a pre-sorted slice, ReplayResult sorts a copy per
-// call — but they must encode the same convention (idx =
-// ceil(q/100·n)−1 on the sorted population). This suite runs both over
-// shared vectors so a drift in either is caught at the boundary where
-// MLPerf-style reports and replay summaries would silently disagree.
-
-var percentileVectors = []struct {
-	name string
-	lats []time.Duration
-}{
-	{"n=1", []time.Duration{42 * time.Millisecond}},
-	{"two distinct", []time.Duration{1 * time.Millisecond, 9 * time.Millisecond}},
-	{"all ties", []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}},
-	{"ties at tail", []time.Duration{1 * time.Millisecond, 2 * time.Millisecond, 7 * time.Millisecond, 7 * time.Millisecond, 7 * time.Millisecond}},
-	{"unsorted input", []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}},
-	{"hundred", func() []time.Duration {
-		out := make([]time.Duration, 100)
-		for i := range out {
-			out[i] = time.Duration(i+1) * time.Millisecond
-		}
-		return out
-	}()},
-}
-
-var percentilePoints = []float64{0, 1, 25, 50, 90, 99, 100}
-
-func TestPercentileConventionsAgree(t *testing.T) {
-	for _, v := range percentileVectors {
-		var res core.ReplayResult
-		for _, l := range v.lats {
-			res.Record(l)
-		}
-		res.Requests = len(v.lats)
-		sorted := append([]time.Duration(nil), v.lats...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for _, q := range percentilePoints {
-			replay := res.Percentile(q)
-			scen := percentile(sorted, q)
-			if replay != scen {
-				t.Errorf("%s p%v: ReplayResult.Percentile = %v, scenario.percentile = %v", v.name, q, replay, scen)
-			}
-		}
-	}
-}
-
 func TestPercentileEdgeValues(t *testing.T) {
-	// Pin the convention itself, not just cross-implementation
-	// agreement: a single sample answers every percentile, p=0 is the
-	// minimum, p=100 the maximum, and out-of-range p clamps.
+	// Pin the nearest-rank convention (idx = ceil(p/100·n)−1 on the
+	// sorted population): a single sample answers every percentile, p=0
+	// is the minimum, p=100 the maximum, and out-of-range p clamps.
 	one := []time.Duration{42 * time.Millisecond}
-	var res core.ReplayResult
-	res.Record(one[0])
+	var res ReplayResult
+	res.Record(one[0], 1, Exec{})
 	for _, q := range []float64{0, 50, 100} {
 		if got := res.Percentile(q); got != one[0] {
 			t.Errorf("n=1 p%v = %v, want %v", q, got, one[0])
 		}
-		if got := percentile(one, q); got != one[0] {
-			t.Errorf("scenario n=1 p%v = %v, want %v", q, got, one[0])
+		if got := nearestRank(one, q); got != one[0] {
+			t.Errorf("nearestRank n=1 p%v = %v, want %v", q, got, one[0])
 		}
 	}
 
-	var multi core.ReplayResult
-	lats := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
+	var multi ReplayResult
+	lats := []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}
 	for _, l := range lats {
-		multi.Record(l)
+		multi.Record(l, 1, Exec{})
 	}
-	if got := multi.Percentile(0); got != lats[0] {
-		t.Errorf("p0 = %v, want the minimum %v", got, lats[0])
+	if got := multi.Percentile(0); got != lats[1] {
+		t.Errorf("p0 = %v, want the minimum %v", got, lats[1])
 	}
-	if got := multi.Percentile(100); got != lats[2] {
-		t.Errorf("p100 = %v, want the maximum %v", got, lats[2])
+	if got := multi.Percentile(50); got != lats[2] {
+		t.Errorf("p50 = %v, want the median %v", got, lats[2])
 	}
-	if got := multi.Percentile(-5); got != lats[0] {
-		t.Errorf("p<0 = %v, want clamp to minimum %v", got, lats[0])
+	if got := multi.Percentile(100); got != lats[0] {
+		t.Errorf("p100 = %v, want the maximum %v", got, lats[0])
 	}
-	if got := multi.Percentile(250); got != lats[2] {
-		t.Errorf("p>100 = %v, want clamp to maximum %v", got, lats[2])
+	if got := multi.Percentile(-5); got != lats[1] {
+		t.Errorf("p<0 = %v, want clamp to minimum %v", got, lats[1])
 	}
-	var empty core.ReplayResult
+	if got := multi.Percentile(250); got != lats[0] {
+		t.Errorf("p>100 = %v, want clamp to maximum %v", got, lats[0])
+	}
+	var empty ReplayResult
 	if got := empty.Percentile(50); got != 0 {
 		t.Errorf("empty population p50 = %v, want 0", got)
 	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Errorf("scenario empty population p50 = %v, want 0", got)
+	if got := nearestRank(nil, 50); got != 0 {
+		t.Errorf("nearestRank empty population p50 = %v, want 0", got)
 	}
 }

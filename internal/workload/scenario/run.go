@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"bomw/internal/trace"
 	"bomw/internal/workload"
 )
 
@@ -49,31 +50,31 @@ func RunAll(b Backend, base Params) ([]Report, error) {
 // each completion, so latency is pure service time — no queueing by
 // construction.
 func runStream(b Backend, p Params) (Report, error) {
-	col := newCollector()
+	res := ReplayResult{latencies: make([]time.Duration, 0, p.Queries)}
 	clock := time.Duration(0)
 	for q := 0; q < p.Queries; q++ {
 		ex, err := b.Run(p.Model, p.Batch, p.Policy, clock)
 		if err != nil {
 			return Report{}, fmt.Errorf("scenario %s query %d: %w", p.Kind, q, err)
 		}
-		col.add(ex.Completed-clock, ex.Completed, p.Batch, ex.EnergyJ, ex.Device)
+		res.Record(ex.Completed-clock, p.Batch, ex)
 		clock = ex.Completed
 	}
-	return col.report(p.Kind, b.Name(), p), nil
+	return res.report(p.Kind, b.Name(), p), nil
 }
 
 // runOffline issues the whole backlog at t=0; the device busy horizon
 // provides the queueing, and samples/s over the makespan is the metric.
 func runOffline(b Backend, p Params) (Report, error) {
-	col := newCollector()
-	for q := 0; q < p.Queries; q++ {
-		ex, err := b.Run(p.Model, p.Batch, p.Policy, 0)
-		if err != nil {
-			return Report{}, fmt.Errorf("scenario offline query %d: %w", q, err)
-		}
-		col.add(ex.Completed, ex.Completed, p.Batch, ex.EnergyJ, ex.Device)
+	tr := make(trace.Trace, p.Queries)
+	for i := range tr {
+		tr[i] = trace.Request{Model: p.Model, Batch: p.Batch}
 	}
-	return col.report(Offline, b.Name(), p), nil
+	res, err := replay(b, tr, p.Policy)
+	if err != nil {
+		return Report{}, fmt.Errorf("scenario offline: %w", err)
+	}
+	return res.report(Offline, b.Name(), p), nil
 }
 
 // runServer replays the compiled arrival stream (Poisson by default, or
@@ -89,24 +90,21 @@ func runServer(b Backend, p Params) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("scenario server: compiling arrivals: %w", err)
 	}
-	col := newCollector()
-	inSLO := 0
-	for i, ev := range tr {
-		ex, err := b.Run(ev.Model, ev.Batch, p.Policy, ev.At)
-		if err != nil {
-			return Report{}, fmt.Errorf("scenario server query %d: %w", i, err)
-		}
-		lat := ex.Completed - ev.At
-		if p.SLO <= 0 || lat <= p.SLO {
-			inSLO++
-		}
-		col.add(lat, ex.Completed, ev.Batch, ex.EnergyJ, ex.Device)
+	res, err := replay(b, tr, p.Policy)
+	if err != nil {
+		return Report{}, fmt.Errorf("scenario server: %w", err)
 	}
-	r := col.report(Server, b.Name(), p)
-	r.TargetRate = round3(p.TargetRate)
-	r.SLOMS = round3(float64(p.SLO) / float64(time.Millisecond))
-	if len(tr) > 0 {
-		r.Attainment = round3(float64(inSLO) / float64(len(tr)))
+	return res.serverReport(b.Name(), p, len(tr)), nil
+}
+
+// serverReport is report for the Server scenario: it adds the offered
+// rate, the SLO and the attainment over all offered queries.
+func (r ReplayResult) serverReport(target string, p Params, offered int) Report {
+	rep := r.report(Server, target, p)
+	rep.TargetRate = round3(p.TargetRate)
+	rep.SLOMS = round3(float64(p.SLO) / float64(time.Millisecond))
+	if offered > 0 {
+		rep.Attainment = round3(float64(r.within(p.SLO)) / float64(offered))
 	}
-	return r, nil
+	return rep
 }

@@ -5,14 +5,24 @@
 // (p50/p90/p99), SLO attainment and max sustainable rate, not a single
 // req/s number.
 //
+// It is also the repository's single trace-replay engine: Replay runs a
+// request trace on a Backend at each request's arrival time and folds
+// the completions into a ReplayResult, the one aggregate (and the one
+// nearest-rank percentile) every mode reports from. The paper's §VI
+// comparison is two Replays of one trace: NewSchedulerBackend for the
+// adaptive scheduler, NewStaticBackend for an always-one-device
+// baseline.
+//
 // Two execution modes share one Report shape:
 //
 //   - The virtual mode (Run over a Backend) replays queries on the
 //     virtual clock through the scheduler's Estimate/Observe path —
 //     sequential, seeded and fully deterministic: the same Params and
 //     seed produce a byte-identical report, which is what the golden
-//     tests pin. NewSchedulerBackend wraps one node; NewFleetBackend
-//     wraps N scheduler replicas behind least-outstanding routing.
+//     tests pin. The Server and Offline scenarios compile their
+//     arrivals into a trace and run Replay's loop. NewSchedulerBackend
+//     wraps one node; NewFleetBackend wraps N scheduler replicas behind
+//     least-outstanding routing.
 //
 //   - The live mode (RunLive over a Submitter) drives a real
 //     core.Pipeline or cluster.Cluster: arrivals paced by trace.Play,
@@ -30,7 +40,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"bomw/internal/core"
@@ -203,82 +212,39 @@ type Report struct {
 	PerDevice map[string]int `json:"per_device,omitempty"`
 }
 
-// collector accumulates per-query completions into a Report.
-type collector struct {
-	lats      []time.Duration
-	samples   int64
-	energyJ   float64
-	makespan  time.Duration
-	perDevice map[string]int
-}
-
-func newCollector() *collector {
-	return &collector{perDevice: map[string]int{}}
-}
-
-func (c *collector) add(lat, completed time.Duration, samples int, energyJ float64, device string) {
-	c.lats = append(c.lats, lat)
-	c.samples += int64(samples)
-	c.energyJ += energyJ
-	if completed > c.makespan {
-		c.makespan = completed
-	}
-	if device != "" {
-		c.perDevice[device]++
-	}
-}
-
-// percentile returns the q-th percentile of the sorted population,
-// matching ReplayResult.Percentile's convention.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
-}
-
 // round3 stabilises derived float fields for byte-stable reports.
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 
-// report folds the collected completions into the Report shape.
-func (c *collector) report(kind Kind, target string, p Params) Report {
-	r := Report{
+// report folds a run's aggregate into the Report shape: one sort for
+// the percentiles, latencies in whole microseconds, rates rounded by
+// round3.
+func (r ReplayResult) report(kind Kind, target string, p Params) Report {
+	rep := Report{
 		Scenario:   string(kind),
 		Target:     target,
 		Model:      p.Model,
 		Policy:     p.Policy.String(),
 		Seed:       p.Seed,
-		Queries:    len(c.lats),
-		Samples:    c.samples,
-		MakespanUS: c.makespan.Microseconds(),
-		EnergyJ:    round3(c.energyJ),
+		Queries:    r.Requests,
+		Samples:    r.TotalSamples,
+		MakespanUS: r.Makespan.Microseconds(),
+		EnergyJ:    round3(r.TotalEnergyJ),
+		PerDevice:  r.PerDevice,
 	}
-	if len(c.perDevice) > 0 {
-		r.PerDevice = c.perDevice
+	if r.Requests == 0 {
+		return rep
 	}
-	if len(c.lats) == 0 {
-		return r
+	sorted := r.sortedLatencies()
+	rep.Latency = Percentiles{
+		MeanUS: r.AvgLatency().Microseconds(),
+		P50US:  nearestRank(sorted, 50).Microseconds(),
+		P90US:  nearestRank(sorted, 90).Microseconds(),
+		P99US:  nearestRank(sorted, 99).Microseconds(),
+		MaxUS:  r.MaxLatency.Microseconds(),
 	}
-	sorted := append([]time.Duration(nil), c.lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, l := range sorted {
-		sum += l
+	if r.Makespan > 0 {
+		rep.QPS = round3(float64(r.Requests) / r.Makespan.Seconds())
+		rep.SamplesPerS = round3(r.SamplesPerSecond())
 	}
-	r.Latency = Percentiles{
-		MeanUS: (sum / time.Duration(len(sorted))).Microseconds(),
-		P50US:  percentile(sorted, 50).Microseconds(),
-		P90US:  percentile(sorted, 90).Microseconds(),
-		P99US:  percentile(sorted, 99).Microseconds(),
-		MaxUS:  sorted[len(sorted)-1].Microseconds(),
-	}
-	if c.makespan > 0 {
-		r.QPS = round3(float64(len(c.lats)) / c.makespan.Seconds())
-		r.SamplesPerS = round3(float64(c.samples) / c.makespan.Seconds())
-	}
-	return r
+	return rep
 }
