@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet lint lint-json lint-sarif race loc bench bench-json bench-guard smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
+.PHONY: verify build test vet lint lint-json lint-sarif race flake-sweep loc bench bench-json bench-guard smoke-cluster smoke-scenario smoke-chaos soak soak-deadline soak-cluster soak-chaos fuzz
 
 verify: vet lint build test race
 
@@ -40,6 +40,13 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/cluster/... ./internal/server/... ./internal/trace/... ./internal/opencl/... ./internal/workload/...
+
+# Flake sweep: the full suite ten times at 1, 2 and 8 procs, then the
+# race gate. A test that fails here is flaky; fix its clock discipline
+# or the bug it exposes. CI runs it on a schedule (flake-sweep.yml).
+flake-sweep:
+	$(GO) test -count=10 -cpu 1,2,8 ./...
+	$(MAKE) race
 
 # Non-test Go line count, the size figure the ROADMAP tracks: every
 # *.go file except tests, testdata and the perfbench module.

@@ -10,7 +10,7 @@
 //
 //	bomwsrv -addr :8080
 //	bomwsrv -addr :8080 -load sched.state -window 2ms -max-batch 64
-//	bomwsrv -addr :8080 -default-slo 50ms -hedge
+//	bomwsrv -addr :8080 -default-slo 50ms
 //	bomwsrv -addr :8080 -nodes 64 -route least-loaded
 //
 //	curl -s localhost:8080/v1/devices
@@ -24,8 +24,9 @@
 // latency SLO. Admission control rejects requests predicted to miss it
 // (504, reason deadline_infeasible); admitted requests whose SLO passes
 // before execution are culled without touching a device (504, reason
-// deadline_exceeded); -hedge re-submits straggling batches to the
-// second-best device and takes the first result.
+// deadline_exceeded). Tail tolerance comes from -node-hedge (fleet
+// mode, below), which races a backup node, and from device failover,
+// which retries a failed batch on the next-ranked device.
 //
 // Fault injection (failure-domain drills): -fault scripts deterministic
 // device faults on the virtual clock (wall time since start). The spec
@@ -100,7 +101,6 @@ func main() {
 	deviceDepth := flag.Int("device-queue-depth", 8, "per-device worker queue bound (batches)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 	defaultSLO := flag.Duration("default-slo", 0, "latency SLO for requests without timeout_ms (0 disables; requests predicted to miss are rejected 504)")
-	hedge := flag.Bool("hedge", false, "re-submit straggling deadline-carrying batches to the second-best device (first result wins)")
 	faultSpec := flag.String("fault", "", "fault-injection spec, e.g. 'GTX 1080 Ti=err:0.05,outage:30s-45s' (see doc comment)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for fault-injection draws")
 	nodes := flag.Int("nodes", 1, "fleet size: serving-node replicas behind the router")
@@ -185,7 +185,6 @@ func main() {
 		QueueDepth:       *queueDepth,
 		DeviceQueueDepth: *deviceDepth,
 		DefaultSLO:       *defaultSLO,
-		Hedge:            *hedge,
 	}, *nodes, cluster.Config{
 		Policy:    policy,
 		Seed:      *seed,

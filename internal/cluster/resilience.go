@@ -11,8 +11,9 @@ import (
 	"bomw/internal/core"
 )
 
-// Cluster-aware hedging and straggler migration — PR 4's device-level
-// tail tolerance lifted across the routing tier.
+// Cluster-aware hedging and straggler migration — the stack's hedging
+// lives here, at the routing tier; inside a node, tail tolerance is
+// device failover.
 //
 // A deadline request entering a resilient cluster (NodeHedge or
 // Straggler enabled) is wrapped in a *submission*: a detached future

@@ -204,67 +204,6 @@ func TestPipelineNoRetryAfterDeadline(t *testing.T) {
 	}
 }
 
-// TestPipelineHedgeCompletesOnBackupDevice: with hedging on, a batch
-// straggling on its primary device is re-executed on the second-best
-// device once half its slack is spent; the hedge's result resolves the
-// future and the primary — released later — skips execution entirely
-// (the loser is cancelled).
-func TestPipelineHedgeCompletesOnBackupDevice(t *testing.T) {
-	s := smallScheduler(t, Config{MaxQueueDelay: -1})
-	fi := countingInjector(s)
-	p := NewPipeline(s, PipelineConfig{MaxBatch: 1, ProbeInterval: -1, Hedge: true})
-	release := make(chan struct{})
-	var mu sync.Mutex
-	primary := ""
-	p.testExecHook = func(dev string) {
-		mu.Lock()
-		if primary == "" {
-			primary = dev
-			mu.Unlock()
-			<-release // hold only the first (primary) batch
-			return
-		}
-		mu.Unlock()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	fut, err := p.Submit(ctx, PipelineRequest{Model: "mnist-small", Policy: BestThroughput, Batch: 8, Deadline: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := fut.Wait(ctx) // resolves via the hedge while the primary is held
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	p.Close()
-
-	if c.Err != nil {
-		t.Fatalf("hedged request failed: %v", c.Err)
-	}
-	if !c.Hedged {
-		t.Fatalf("completion not marked hedged: %+v", c)
-	}
-	mu.Lock()
-	prim := primary
-	mu.Unlock()
-	if c.Decision.Device == prim {
-		t.Fatalf("hedge reported completion on the held primary %s", prim)
-	}
-	st := p.Stats()
-	if st.HedgesLaunched != 1 || st.HedgesWon != 1 {
-		t.Fatalf("hedge counters = launched %d won %d, want 1/1", st.HedgesLaunched, st.HedgesWon)
-	}
-	if st.Expired != 0 || st.Failed != 0 {
-		t.Fatalf("stats = %+v, want a clean hedged success", st)
-	}
-	// The cancelled loser never executed: only the hedge touched a device.
-	if execs := fi.Stats(); execs[prim].Executions != 0 || totalExecutions(fi) != 1 {
-		t.Fatalf("executions = %+v, want exactly one (the hedge), none on %s", execs, prim)
-	}
-}
-
 // TestFeasibleWithinSeesLoad: the admission predictor must fold both the
 // committed busy horizon of the simulated devices and the live worker
 // queue occupancy (the queue probe) into its completion estimates.

@@ -53,14 +53,11 @@ import (
 // *real* queued work instead of only the device simulator's committed
 // busy horizon. Deadline-carrying batches are routed through
 // SelectWithDeadline so the device pick honours the tightest SLO in the
-// batch, and an optional hedge (PipelineConfig.Hedge) re-submits a
-// straggling batch to the second-best device when half its slack is
-// spent, taking whichever result lands first.
+// batch.
 //
 // (4) Completion: results are delivered through per-request futures;
 // aggregated batches are split back into per-request class slices with
-// proportional energy accounting. Every future resolves exactly once,
-// even when hedged executions race the primary.
+// proportional energy accounting. Every future resolves exactly once.
 type Pipeline struct {
 	sched *Scheduler
 	cfg   PipelineConfig
@@ -119,8 +116,6 @@ type Pipeline struct {
 	retries    atomic.Int64
 	failovers  atomic.Int64
 	execFails  atomic.Int64
-	hedges     atomic.Int64
-	hedgeWins  atomic.Int64
 
 	// testExecHook, when set, runs in each device worker before a batch
 	// executes — tests use it to hold workers and fill queues
@@ -184,13 +179,6 @@ type PipelineConfig struct {
 	// only culled once its deadline actually passes. Default off
 	// (admission control active).
 	DisableAdmissionControl bool
-	// Hedge enables deadline hedging: when half an SLO-carrying batch's
-	// slack has elapsed and it has not completed, the batch is
-	// re-executed on the second-best device and the first result wins
-	// (the "hedged requests" tail-tolerance pattern). The loser is
-	// discarded; if the primary never started, it skips execution
-	// entirely. Default off.
-	Hedge bool
 }
 
 // admitShards is the number of parallel admission/batching loops:
@@ -291,9 +279,6 @@ type Completion struct {
 	Completed time.Duration
 	// EnergyJ is this request's proportional share of the batch energy.
 	EnergyJ float64
-	// Hedged reports that a hedged execution on a backup device
-	// produced this result, not the primary pick.
-	Hedged bool
 	// Err is non-nil when the request failed (cancelled, expired,
 	// execution error); all other fields may be zero then.
 	Err error
@@ -438,8 +423,12 @@ type PipelineStats struct {
 	Failovers    int64 // batches completed on a device other than the one that failed them
 	ExecFailures int64 // batches that exhausted every attempt and failed their requests
 
-	HedgesLaunched int64 // hedged executions submitted to a backup device
-	HedgesWon      int64 // hedged executions that resolved at least one request first
+	// HedgesLaunched and HedgesWon are always zero: the pipeline does
+	// not hedge, and node hedges are counted in
+	// cluster.FleetStats.NodeHedges/NodeHedgesWon. The fields remain
+	// only because perfbench/accounting.go reads them.
+	HedgesLaunched int64
+	HedgesWon      int64
 
 	InFlight int64          // batches queued or executing now
 	Depth    map[string]int // per-device batches queued or executing
@@ -447,14 +436,12 @@ type PipelineStats struct {
 
 // pipeReq is one admitted request moving through the stages.
 //
-// pipeReqs are pooled and reference-counted. The flow path (aggregate →
-// batch → worker) owns one reference from Submit; a hedge snapshot
-// retains one more per request it copies. A request returns to the pool
-// only when every holder has released it, and every release site runs
-// after the request's future was resolved (finish) — so a pooled
-// pipeReq is never resurrected under a stage that still reads it. The
-// Future is NOT reset with the pipeReq: it detaches at release and is
-// recycled separately by whoever consumes the completion.
+// pipeReqs are pooled. The flow path (aggregate → batch → worker) is
+// the only holder from Submit on, and every release site runs after the
+// request's future was resolved (finish) — so a pooled pipeReq is never
+// resurrected under a stage that still reads it. The Future is NOT reset
+// with the pipeReq: it detaches at release and is recycled separately by
+// whoever consumes the completion.
 type pipeReq struct {
 	//bomw:ctxparam pipeReq is the per-request carrier: stages observe this request's cancellation at every queue boundary, so the ctx travels with it
 	ctx      context.Context
@@ -464,34 +451,26 @@ type pipeReq struct {
 	deadline time.Duration // absolute SLO expiry on the pipeline clock; 0 = none
 	size     int
 	fut      *Future
-	done     atomic.Bool  // future resolved (guards exactly-once delivery)
-	refs     atomic.Int32 // holders: flow path + hedge snapshot
+	done     atomic.Bool // future resolved (guards exactly-once delivery)
 }
 
 var reqPool = sync.Pool{New: func() any { return &pipeReq{} }}
 
 func getPipeReq() *pipeReq {
 	r := reqPool.Get().(*pipeReq)
-	r.refs.Store(1)
 	r.done.Store(false)
 	return r
 }
 
-// retain adds a holder (the hedge snapshot path).
-func (r *pipeReq) retain() { r.refs.Add(1) }
-
-// releaseReq drops one holder; the last one clears the request and
-// returns it to the pool. Callers must have finished (or observed
-// someone else finish) the request's future before releasing.
+// releaseReq clears the request and returns it to the pool. Callers
+// must have finished the request's future before releasing.
 func (p *Pipeline) releaseReq(r *pipeReq) {
-	if r.refs.Add(-1) == 0 {
-		r.ctx = nil
-		r.req = PipelineRequest{}
-		r.key = aggKey{}
-		r.at, r.deadline, r.size = 0, 0, 0
-		r.fut = nil
-		reqPool.Put(r)
-	}
+	r.ctx = nil
+	r.req = PipelineRequest{}
+	r.key = aggKey{}
+	r.at, r.deadline, r.size = 0, 0, 0
+	r.fut = nil
+	reqPool.Put(r)
 }
 
 // dead reports whether the request must be culled at virtual time now
@@ -588,21 +567,15 @@ type batchWork struct {
 	reqs      []*pipeReq
 	size      int
 	flushAt   time.Duration
-	deadline  time.Duration // tightest absolute deadline in the batch; 0 = none
 	dec       Decision
 	charge    time.Duration // virtual occupancy charged to the device queue
 	clkCharge time.Duration // clock occupancy charged to the device queue
-
-	hedgeReqs  []*pipeReq // snapshot for the hedge path (immutable)
-	hedgeTimer *time.Timer
 }
 
 // Pools for the per-batch carriers. Both keep their []*pipeReq backing
 // across reuse — the flush path copy-culls the aggregate's requests into
 // the batchWork's own backing, so steady-state batching allocates
-// neither carriers nor slices. Hedged batches opt out of pooling (the
-// timer closure and its snapshot alias the work), trading a rare
-// allocation for an obviously safe lifecycle.
+// neither carriers nor slices.
 var (
 	aggPool = sync.Pool{New: func() any { return &aggregate{} }}
 	bwPool  = sync.Pool{New: func() any { return &batchWork{} }}
@@ -637,13 +610,8 @@ func getBatchWork() *batchWork {
 	return w
 }
 
-// retireBatchWork recycles a finished batch. Hedged batches are left to
-// the GC: the hedge timer closure and its snapshot may still hold the
-// work.
+// retireBatchWork recycles a finished batch.
 func retireBatchWork(w *batchWork) {
-	if w.hedgeTimer != nil {
-		return
-	}
 	clearReqs(w.reqs)
 	w.reqs = w.reqs[:0]
 	bwPool.Put(w)
@@ -1035,29 +1003,24 @@ func (p *Pipeline) QueueDelay() time.Duration {
 
 // Stats snapshots pipeline activity.
 func (p *Pipeline) Stats() PipelineStats {
-	// Wins load before launches: a win is counted after its launch, so
-	// this order keeps HedgesWon ≤ HedgesLaunched in every snapshot.
-	hedgeWins := p.hedgeWins.Load()
 	st := PipelineStats{
-		Submitted:      p.submitted.Load(),
-		Shed:           p.shed.Load(),
-		Infeasible:     p.infeasible.Load(),
-		Cancelled:      p.cancelled.Load(),
-		Expired:        p.expired.Load(),
-		Failed:         p.failed.Load(),
-		Completed:      p.completed.Load(),
-		Batches:        p.batches.Load(),
-		SizeFlushes:    p.sizeFl.Load(),
-		WindowFlushes:  p.windowFl.Load(),
-		IdleFlushes:    p.idleFl.Load(),
-		DrainFlushes:   p.drainFl.Load(),
-		Retries:        p.retries.Load(),
-		Failovers:      p.failovers.Load(),
-		ExecFailures:   p.execFails.Load(),
-		HedgesLaunched: p.hedges.Load(),
-		HedgesWon:      hedgeWins,
-		InFlight:       p.inflight.Load(),
-		Depth:          map[string]int{},
+		Submitted:     p.submitted.Load(),
+		Shed:          p.shed.Load(),
+		Infeasible:    p.infeasible.Load(),
+		Cancelled:     p.cancelled.Load(),
+		Expired:       p.expired.Load(),
+		Failed:        p.failed.Load(),
+		Completed:     p.completed.Load(),
+		Batches:       p.batches.Load(),
+		SizeFlushes:   p.sizeFl.Load(),
+		WindowFlushes: p.windowFl.Load(),
+		IdleFlushes:   p.idleFl.Load(),
+		DrainFlushes:  p.drainFl.Load(),
+		Retries:       p.retries.Load(),
+		Failovers:     p.failovers.Load(),
+		ExecFailures:  p.execFails.Load(),
+		InFlight:      p.inflight.Load(),
+		Depth:         map[string]int{},
 	}
 	for name, dq := range p.queues {
 		st.Depth[name] = dq.queued()
@@ -1224,19 +1187,12 @@ func (p *Pipeline) armTimers(sh *admitShard) {
 
 // cullLive filters reqs down to the ones still worth executing at
 // virtual time now, resolving dead ones (context ended, deadline
-// passed) with their error and skipping requests another path already
-// resolved. Dropped requests lose the flow path's reference here. The
-// returned slice reuses reqs' backing array.
+// passed) with their error and releasing them. The returned slice
+// reuses reqs' backing array.
 func (p *Pipeline) cullLive(reqs []*pipeReq, now time.Duration) ([]*pipeReq, int) {
 	live := reqs[:0]
 	size := 0
 	for _, r := range reqs {
-		if r.done.Load() {
-			// A hedged execution already resolved it; the flow path is
-			// finished with this request.
-			p.releaseReq(r)
-			continue
-		}
 		if err := r.dead(now); err != nil {
 			p.finish(r, &Completion{Err: err})
 			p.releaseReq(r)
@@ -1277,10 +1233,6 @@ func (p *Pipeline) flushKey(sh *admitShard, key aggKey, gen uint64, now time.Dur
 	w := getBatchWork()
 	size := 0
 	for _, r := range agg.reqs {
-		if r.done.Load() {
-			p.releaseReq(r)
-			continue
-		}
 		if err := r.dead(now); err != nil {
 			p.finish(r, &Completion{Err: err})
 			p.releaseReq(r)
@@ -1339,22 +1291,8 @@ func (p *Pipeline) flushKey(sh *admitShard, key aggKey, gen uint64, now time.Dur
 		retireBatchWork(w)
 		return false
 	}
-	w.key, w.size, w.flushAt, w.deadline, w.dec = key, size, now, minDL, dec
+	w.key, w.size, w.flushAt, w.dec = key, size, now, dec
 	w.charge, w.clkCharge = dq.chargeBatch(size)
-	if p.cfg.Hedge && minDL > 0 {
-		// Snapshot the request list: the worker compacts w.reqs in place
-		// while the hedge goroutine reads its own copy. Each snapshotted
-		// request is retained for the hedge path; the batch itself opts
-		// out of pooling (retireBatchWork skips hedged work).
-		w.hedgeReqs = append([]*pipeReq(nil), live...)
-		for _, r := range w.hedgeReqs {
-			r.retain()
-		}
-		slack := minDL - now
-		work := w
-		//bomw:wallclock hedging races real stragglers: the half-slack trigger must fire on the wall clock the straggler is stuck on
-		w.hedgeTimer = time.AfterFunc(slack/2, func() { p.hedge(work) })
-	}
 	p.inflight.Add(1)
 	p.batches.Add(1)
 	// A full device queue blocks here: backpressure propagates through
@@ -1389,20 +1327,6 @@ func (p *Pipeline) batchDone() {
 			case sh.nudge <- struct{}{}:
 			default:
 			}
-		}
-	}
-}
-
-// stopHedge disarms a pending hedge. When Stop reports the timer never
-// fired (and now never will), the hedge function is guaranteed not to
-// run, so this path owns — and releases — the snapshot's references;
-// otherwise hedge() is running (or already ran) and its deferred
-// release owns them. Exactly one path releases.
-func (p *Pipeline) stopHedge(w *batchWork) {
-	if w.hedgeTimer != nil && w.hedgeTimer.Stop() {
-		for i, r := range w.hedgeReqs {
-			p.releaseReq(r)
-			w.hedgeReqs[i] = nil
 		}
 	}
 }
@@ -1450,11 +1374,9 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 	}
 	live, size := p.cullLive(w.reqs, p.cfg.Clock())
 	if size == 0 {
-		// Everything died (or a hedge won) while queued: release the
-		// charge without spending device time — the "cancelled loser"
-		// path of a hedge that fired before the primary started.
+		// Everything died while queued: release the charge without
+		// spending device time.
 		dq.completeBatch(w.charge, w.clkCharge, 0, 0, 0)
-		p.stopHedge(w)
 		p.batchDone()
 		retireBatchWork(w)
 		return
@@ -1497,7 +1419,6 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 	} else {
 		p.sched.ReportExecution(dec.Device, nil)
 	}
-	p.stopHedge(w)
 	if size == 0 {
 		// Every surviving request expired or was cancelled during the
 		// retry loop; their futures are resolved and their flow
@@ -1519,79 +1440,16 @@ func (p *Pipeline) runBatch(dq *deviceQueue, w *batchWork) {
 		retireBatchWork(w)
 		return
 	}
-	p.deliver(live, size, w.flushAt, dec, res, false)
+	p.deliver(live, size, w.flushAt, dec, res)
 	for _, r := range live {
 		p.releaseReq(r)
 	}
 	retireBatchWork(w)
 }
 
-// hedge re-executes a straggling deadline-carrying batch on the
-// second-best device — the tail-tolerance "hedged requests" pattern:
-// armed at flush time to fire once half the batch's slack has elapsed,
-// it races the primary execution and whichever result lands first
-// resolves the futures (per-request exactly-once delivery arbitrates).
-// If the primary had not started yet, it finds every request resolved
-// at dequeue and skips execution entirely — the hedge effectively
-// cancelled it.
-func (p *Pipeline) hedge(w *batchWork) {
-	// This path owns the snapshot's references (stopHedge only releases
-	// when it disarms the timer before it fires); drop them on every
-	// exit so the requests can return to the pool.
-	defer func() {
-		for i, r := range w.hedgeReqs {
-			if r != nil {
-				p.releaseReq(r)
-				w.hedgeReqs[i] = nil
-			}
-		}
-	}()
-	select {
-	case <-p.closing:
-		return // the drain path resolves everything; don't race shutdown
-	default:
-	}
-	now := p.cfg.Clock()
-	var reqs []*pipeReq
-	size := 0
-	for _, r := range w.hedgeReqs {
-		if r.done.Load() || r.dead(now) != nil {
-			continue // resolved, cancelled or expired: not worth hedging
-		}
-		reqs = append(reqs, r)
-		size += r.size
-	}
-	if size == 0 {
-		return
-	}
-	next, err := p.sched.SelectExcluding(w.key.model, size, w.key.pol, now, map[string]bool{w.dec.Device: true})
-	if err != nil {
-		return // single-device system or everything excluded: no backup
-	}
-	p.hedges.Add(1)
-	rq := p.queues[next.Device]
-	var charge, clkCharge time.Duration
-	if rq != nil {
-		charge, clkCharge = rq.chargeBatch(size)
-	}
-	res, err := p.executeAttempt(rq, w.key, reqs, size, next, charge, clkCharge, now)
-	p.sched.ReportExecution(next.Device, err)
-	if err != nil {
-		return // the primary attempt still owns the batch
-	}
-	next.Policy = w.key.pol
-	if n := p.deliver(reqs, size, w.flushAt, next, res, true); n > 0 {
-		p.hedgeWins.Add(1)
-		_ = p.sched.Observe(next, res)
-	}
-}
-
 // deliver splits a batch result back into per-request completions
-// (stage 4), reporting how many futures this call actually resolved —
-// racing hedged and primary executions each call deliver, and the
-// per-request done flag lets exactly one win each future.
-func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec Decision, res *opencl.Result, hedged bool) int {
-	resolved := 0
+// (stage 4).
+func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec Decision, res *opencl.Result) {
 	off := 0
 	// One completion template per batch, patched per request — the
 	// Decision payload (strings, feature slice header) copies once here
@@ -1600,7 +1458,6 @@ func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec
 		Decision:  dec,
 		BatchSize: size,
 		Completed: res.Completed,
-		Hedged:    hedged,
 	}
 	energyPer := res.EnergyJ / float64(size)
 	for _, r := range reqs {
@@ -1612,31 +1469,25 @@ func (p *Pipeline) deliver(reqs []*pipeReq, size int, flushAt time.Duration, dec
 			c.Classes = append([]int(nil), res.Classes[off:off+r.size]...)
 		}
 		off += r.size
-		if p.finish(r, &c) {
-			resolved++
+		p.finish(r, &c)
+	}
+	// Fold the batch's worst request latency (oldest arrival →
+	// completion) into the straggler EWMA, α = 1/8. A plain load/store
+	// race between two workers loses at most one sample — fine for a
+	// smoothed signal — and keeps this off the hot path's lock budget.
+	worst := int64(res.Completed - reqs[0].at)
+	for _, r := range reqs {
+		if l := int64(res.Completed - r.at); l > worst {
+			worst = l
 		}
 	}
-	if resolved > 0 {
-		// Fold the batch's worst request latency (oldest arrival →
-		// completion) into the straggler EWMA, α = 1/8. A plain
-		// load/store race between two workers loses at most one sample —
-		// fine for a smoothed signal — and keeps this off the hot path's
-		// lock budget.
-		worst := int64(res.Completed - reqs[0].at)
-		for _, r := range reqs {
-			if l := int64(res.Completed - r.at); l > worst {
-				worst = l
-			}
-		}
-		if worst > 0 {
-			if prev := p.latEWMA.Load(); prev == 0 {
-				p.latEWMA.Store(worst)
-			} else {
-				p.latEWMA.Store(prev + (worst-prev)/8)
-			}
+	if worst > 0 {
+		if prev := p.latEWMA.Load(); prev == 0 {
+			p.latEWMA.Store(worst)
+		} else {
+			p.latEWMA.Store(prev + (worst-prev)/8)
 		}
 	}
-	return resolved
 }
 
 // concatInputs stacks the requests' input tensors along dim 0. Shapes
@@ -1654,12 +1505,11 @@ func concatInputs(reqs []*pipeReq, size int) *tensor.Tensor {
 }
 
 // finish resolves one request's future exactly once, classifying the
-// outcome into the stats buckets (ok / Failed / Cancelled / Expired).
-// Reports whether this call won the resolution; a loser's completion is
-// discarded.
-func (p *Pipeline) finish(r *pipeReq, c *Completion) bool {
+// outcome into the stats buckets (ok / Failed / Cancelled / Expired). A
+// second resolution of the same request is discarded.
+func (p *Pipeline) finish(r *pipeReq, c *Completion) {
 	if !r.done.CompareAndSwap(false, true) {
-		return false
+		return
 	}
 	switch {
 	case c.Err == nil:
@@ -1674,5 +1524,4 @@ func (p *Pipeline) finish(r *pipeReq, c *Completion) bool {
 	// its Wait returns must see its own completion.
 	p.completed.Add(1)
 	r.fut.ch <- *c // buffered(1); the CAS above makes delivery exactly-once
-	return true
 }

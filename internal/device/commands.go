@@ -66,18 +66,16 @@ func (d *Device) ExecuteCompute(at time.Duration, w Workload, n int) Report {
 		start = d.busyUntil
 	}
 	d.coolLocked(start)
-	d.coolHeatLocked(start - d.lastEnd)
 	frac0 := d.clockFracLocked()
 
 	launch := time.Duration(w.Kernels) * d.prof.KernelLaunch
 	util := d.utilization(w, n)
 	warped := d.dispatchTime(w, n) + d.rooflineTime(w, n, util)
-	stretch := d.slowdownLocked() / (d.thermalFactorLocked() * d.govClockLocked())
-	warped = time.Duration(float64(launch+warped) * stretch)
+	warped = time.Duration(float64(launch+warped) * d.slowdownLocked())
 	scaled, credit := d.boostIntegrate(warped, frac0)
 
 	devE := d.prof.IdleWatts*scaled.Seconds() +
-		(d.prof.ActiveWatts*d.govPowerLocked()-d.prof.IdleWatts)*util*warped.Seconds()
+		(d.prof.ActiveWatts-d.prof.IdleWatts)*util*warped.Seconds()
 	rep := Report{
 		Device:        d.prof.Name,
 		Model:         w.Model,
@@ -99,7 +97,6 @@ func (d *Device) ExecuteCompute(at time.Duration, w Workload, n int) Report {
 	if d.prof.HasBoost && d.boostBusy > d.prof.WarmupBusy {
 		d.boostBusy = d.prof.WarmupBusy
 	}
-	d.heatAfterLocked(scaled)
 	d.execs++
 	d.busyTotal += scaled
 	return rep

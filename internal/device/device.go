@@ -19,10 +19,6 @@ type Device struct {
 	boostBusy time.Duration // busy credit accumulated toward full clocks
 	lastEnd   time.Duration // virtual time of last execution end
 	slowdown  float64       // external interference factor (0 or 1 = none)
-	thermal   Thermal       // opt-in throttling model (§I clock changes)
-	heat      time.Duration // thermal leaky-bucket fill
-	govClock  float64       // DVFS clock scale (0 or 1 = performance)
-	govPower  float64       // DVFS power scale (0 or 1 = performance)
 	execs     int64
 	busyTotal time.Duration
 }
@@ -103,15 +99,13 @@ func (d *Device) Execute(at time.Duration, w Workload, n int) Report {
 		start = d.busyUntil
 	}
 	d.coolLocked(start)
-	d.coolHeatLocked(start - d.lastEnd)
 	frac0 := d.clockFracLocked()
 
 	transfer := d.transferTime(w, n)
 	launch := time.Duration(w.Kernels) * d.prof.KernelLaunch
 	util := d.utilization(w, n)
 	warped := d.dispatchTime(w, n) + d.rooflineTime(w, n, util)
-	stretch := d.slowdownLocked() / (d.thermalFactorLocked() * d.govClockLocked())
-	warped = time.Duration(float64(launch+warped) * stretch)
+	warped = time.Duration(float64(launch+warped) * d.slowdownLocked())
 
 	// Clock-scale the launch + compute portion through the boost ramp.
 	scaled, busyCredit := d.boostIntegrate(warped, frac0)
@@ -121,7 +115,7 @@ func (d *Device) Execute(at time.Duration, w Workload, n int) Report {
 	// power is paid for the full (possibly stretched) duration — this is
 	// why cold starts always cost more Joules (§IV-C, Fig. 4).
 	devE := d.prof.IdleWatts*latency.Seconds() +
-		(d.prof.ActiveWatts*d.govPowerLocked()-d.prof.IdleWatts)*util*warped.Seconds()
+		(d.prof.ActiveWatts-d.prof.IdleWatts)*util*warped.Seconds()
 	hostE := d.prof.HostWatts * latency.Seconds()
 
 	rep := Report{
@@ -147,7 +141,6 @@ func (d *Device) Execute(at time.Duration, w Workload, n int) Report {
 	if d.prof.HasBoost && d.boostBusy > d.prof.WarmupBusy {
 		d.boostBusy = d.prof.WarmupBusy
 	}
-	d.heatAfterLocked(scaled)
 	d.execs++
 	d.busyTotal += latency
 	return rep
@@ -310,8 +303,6 @@ func (d *Device) Reset() {
 	defer d.mu.Unlock()
 	d.busyUntil, d.boostBusy, d.lastEnd = 0, 0, 0
 	d.slowdown = 0
-	d.heat = 0
-	d.govClock, d.govPower = 0, 0
 	d.execs, d.busyTotal = 0, 0
 }
 

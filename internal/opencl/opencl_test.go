@@ -66,76 +66,6 @@ func TestCreateContextValidation(t *testing.T) {
 	}
 }
 
-func TestBufferCreateAndSizes(t *testing.T) {
-	ctx, _ := CreateContext(NewClDevice(testDevices()[0]))
-	b, err := ctx.CreateBuffer(ReadOnly, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 100 || b.Bytes() != 400 {
-		t.Fatalf("buffer len %d bytes %d", b.Len(), b.Bytes())
-	}
-	if _, err := ctx.CreateBuffer(ReadWrite, 0); err == nil {
-		t.Fatal("zero-size buffer accepted")
-	}
-}
-
-func TestWriteReadBufferRoundTrip(t *testing.T) {
-	dgpu := NewClDevice(device.New(device.NvidiaGTX1080Ti()))
-	ctx, _ := CreateContext(dgpu)
-	q := NewQueue(dgpu)
-	buf, _ := ctx.CreateBuffer(ReadWrite, 4)
-	evW, err := q.EnqueueWriteBuffer(0, buf, []float32{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evW.Duration() <= 0 {
-		t.Fatal("discrete write should take time")
-	}
-	out := make([]float32, 4)
-	evR, err := q.EnqueueReadBuffer(0, buf, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 1 || out[3] != 4 {
-		t.Fatalf("round trip = %v", out)
-	}
-	if evR.Start < evW.End {
-		t.Fatal("in-order queue violated: read started before write ended")
-	}
-	if _, err := q.EnqueueWriteBuffer(0, buf, make([]float32, 5)); err == nil {
-		t.Fatal("oversized write accepted")
-	}
-	if _, err := q.EnqueueReadBuffer(0, buf, make([]float32, 5)); err == nil {
-		t.Fatal("oversized read accepted")
-	}
-}
-
-func TestMapBufferZeroCopyOnUnified(t *testing.T) {
-	cpu := NewClDevice(device.New(device.IntelCoreI7_8700()))
-	ctx, _ := CreateContext(cpu)
-	buf, _ := ctx.CreateBuffer(ReadOnly, 8)
-	q := NewQueue(cpu)
-	ptr, ev := q.EnqueueMapBuffer(time.Millisecond, buf)
-	if ev.Duration() != 0 {
-		t.Fatalf("unified map took %v, want 0 (§IV-B)", ev.Duration())
-	}
-	ptr[0] = 42
-	out := make([]float32, 8)
-	if _, err := q.EnqueueReadBuffer(time.Millisecond, buf, out); err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 42 {
-		t.Fatal("map did not alias buffer memory")
-	}
-
-	dgpu := NewClDevice(device.New(device.NvidiaGTX1080Ti()))
-	qd := NewQueue(dgpu)
-	if _, ev := qd.EnqueueMapBuffer(0, buf); ev.Duration() <= 0 {
-		t.Fatal("discrete map should cost a transfer")
-	}
-}
-
 func TestBuildProgramFoldsFlatten(t *testing.T) {
 	net := models.MnistCNN().MustBuild(1)
 	prog, err := BuildProgram(net)
@@ -324,6 +254,12 @@ func TestQueueEventsProfiling(t *testing.T) {
 	if res2.Events[0].Name != "clEnqueueMapBuffer" || len(res2.Events) != 7 {
 		t.Fatalf("unified event log wrong: %d events, first %s", len(res2.Events), res2.Events[0].Name)
 	}
+	if d := res2.Events[0].Duration(); d != 0 {
+		t.Fatalf("map on unified memory took %v, want zero-copy", d)
+	}
+	if d := res.Events[0].Duration(); d <= 0 {
+		t.Fatalf("write to the discrete GPU took %v, want a PCIe transfer", d)
+	}
 }
 
 func TestThroughputGbpsHelper(t *testing.T) {
@@ -378,22 +314,14 @@ func TestDeviceInfoQueries(t *testing.T) {
 }
 
 func TestKernelSourcesDeclareEntryPoints(t *testing.T) {
-	ffnn := KernelEntryPoints(FFNNKernelSource)
-	if len(ffnn) != 1 || ffnn[0] != "ffnn_layer" {
-		t.Fatalf("FFNN entry points = %v", ffnn)
-	}
-	cnn := KernelEntryPoints(CNNKernelSource)
-	if len(cnn) != 2 || cnn[0] != "conv2d" || cnn[1] != "maxpool2d" {
-		t.Fatalf("CNN entry points = %v", cnn)
-	}
-	if err := CompileSource(FFNNKernelSource, "ffnn_layer"); err != nil {
-		t.Fatal(err)
-	}
-	if err := CompileSource(CNNKernelSource, "conv2d"); err != nil {
-		t.Fatal(err)
-	}
-	if err := CompileSource(FFNNKernelSource, "missing"); err == nil {
-		t.Fatal("unknown entry point accepted")
+	for _, c := range []struct{ src, entry string }{
+		{FFNNKernelSource, "ffnn_layer"},
+		{CNNKernelSource, "conv2d"},
+		{CNNKernelSource, "maxpool2d"},
+	} {
+		if !strings.Contains(c.src, "__kernel void "+c.entry+"(") {
+			t.Fatalf("source does not declare __kernel %s", c.entry)
+		}
 	}
 	// The paper's design notes must be reflected in the source text.
 	if !strings.Contains(FFNNKernelSource, "float4") {

@@ -86,7 +86,7 @@ func DiscoverPlatforms(sims ...*device.Device) []Platform {
 	return out
 }
 
-// Context holds the devices a program and its buffers are shared across.
+// Context holds the devices a program is shared across.
 type Context struct {
 	Devices []*ClDevice
 }

@@ -1,17 +1,11 @@
 package opencl
 
-import (
-	"fmt"
-	"strings"
-)
-
 // This file carries the OpenCL C sources of the paper's two compute
-// kernels (§IV-B) as reference documentation, together with a minimal
-// "compiler" that checks a requested entry point exists. The simulated
-// runtime executes semantically equivalent Go (internal/tensor); keeping
-// the CL text alongside makes the port auditable against the paper's
-// described implementation: thread-per-node work division, row-major
-// float4 loads, and local-memory staging on the discrete GPU only.
+// kernels (§IV-B) as reference documentation. The simulated runtime
+// executes semantically equivalent Go (internal/tensor); keeping the CL
+// text alongside makes the port auditable against the paper's described
+// implementation: thread-per-node work division, row-major float4
+// loads, and local-memory staging on the discrete GPU only.
 
 // FFNNKernelSource is the dense-layer kernel: one work-item per output
 // neuron per sample, row-major float4 accumulation (§IV-B).
@@ -110,34 +104,3 @@ __kernel void maxpool2d(
     output[(c*OH + oy)*OW + ox] = best;
 }
 `
-
-// KernelEntryPoints lists the __kernel functions declared in a CL source.
-func KernelEntryPoints(source string) []string {
-	var out []string
-	rest := source
-	for {
-		i := strings.Index(rest, "__kernel")
-		if i < 0 {
-			return out
-		}
-		rest = rest[i+len("__kernel"):]
-		// Skip the return type token ("void") and read the identifier.
-		fields := strings.FieldsFunc(rest, func(r rune) bool { return r == ' ' || r == '\n' || r == '(' || r == '\t' })
-		if len(fields) >= 2 {
-			out = append(out, fields[1])
-		}
-	}
-}
-
-// CompileSource validates that a requested entry point exists in the
-// source, mimicking clCreateKernel's error behaviour. The simulated
-// runtime executes the Go equivalents; this is the auditing hook.
-func CompileSource(source, entryPoint string) error {
-	for _, k := range KernelEntryPoints(source) {
-		if k == entryPoint {
-			return nil
-		}
-	}
-	return fmt.Errorf("opencl: no __kernel named %q in source (have %v)",
-		entryPoint, KernelEntryPoints(source))
-}

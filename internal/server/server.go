@@ -188,8 +188,7 @@ type ClassifyRequest struct {
 	Samples [][]float32 `json:"samples"`
 	// TimeoutMS is the request's latency SLO in milliseconds, measured
 	// from admission. Positive values enable deadline enforcement
-	// (admission-control rejection, pre-execution culling, optional
-	// hedging); 0 uses the server's per-model/default SLO; negative
+	// (admission-control rejection, pre-execution culling); 0 uses the server's per-model/default SLO; negative
 	// opts out of any SLO.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
@@ -209,9 +208,6 @@ type ClassifyResponse struct {
 	BatchSize int `json:"batch_size"`
 	// WaitUS is the aggregation delay the request paid before dispatch.
 	WaitUS int64 `json:"wait_us"`
-	// Hedged reports the result came from a hedged execution on a backup
-	// device rather than the primary pick.
-	Hedged bool `json:"hedged,omitempty"`
 }
 
 func parsePolicy(s string) (core.Policy, error) {
@@ -346,7 +342,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		EnergyJ:   c.EnergyJ,
 		BatchSize: c.BatchSize,
 		WaitUS:    c.Wait.Microseconds(),
-		Hedged:    c.Hedged,
 	})
 }
 
@@ -500,25 +495,23 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.pipe.Stats()
 	writeJSON(w, map[string]interface{}{
-		"submitted":       st.Submitted,
-		"shed":            st.Shed,
-		"infeasible":      st.Infeasible,
-		"cancelled":       st.Cancelled,
-		"expired":         st.Expired,
-		"failed":          st.Failed,
-		"completed":       st.Completed,
-		"batches":         st.Batches,
-		"size_flushes":    st.SizeFlushes,
-		"window_flushes":  st.WindowFlushes,
-		"idle_flushes":    st.IdleFlushes,
-		"drain_flushes":   st.DrainFlushes,
-		"retries":         st.Retries,
-		"failovers":       st.Failovers,
-		"exec_failures":   st.ExecFailures,
-		"hedges_launched": st.HedgesLaunched,
-		"hedges_won":      st.HedgesWon,
-		"in_flight":       st.InFlight,
-		"device_depth":    st.Depth,
+		"submitted":      st.Submitted,
+		"shed":           st.Shed,
+		"infeasible":     st.Infeasible,
+		"cancelled":      st.Cancelled,
+		"expired":        st.Expired,
+		"failed":         st.Failed,
+		"completed":      st.Completed,
+		"batches":        st.Batches,
+		"size_flushes":   st.SizeFlushes,
+		"window_flushes": st.WindowFlushes,
+		"idle_flushes":   st.IdleFlushes,
+		"drain_flushes":  st.DrainFlushes,
+		"retries":        st.Retries,
+		"failovers":      st.Failovers,
+		"exec_failures":  st.ExecFailures,
+		"in_flight":      st.InFlight,
+		"device_depth":   st.Depth,
 	})
 }
 
@@ -546,14 +539,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"readmissions": st.Readmissions,
 		"quarantined":  quarantined,
 		"uptime_us":    s.now().Microseconds(),
-		// Deadline/overload posture: what admission control rejected,
-		// what was culled, and how hedging performed.
+		// Deadline/overload posture: what admission control rejected
+		// and what was culled before execution. Node hedging is
+		// reported under /v1/cluster.
 		"slo": map[string]int64{
-			"infeasible":      pst.Infeasible,
-			"culled":          pst.Cancelled,
-			"expired":         pst.Expired,
-			"hedges_launched": pst.HedgesLaunched,
-			"hedges_won":      pst.HedgesWon,
+			"infeasible": pst.Infeasible,
+			"culled":     pst.Cancelled,
+			"expired":    pst.Expired,
 		},
 	})
 }
